@@ -65,7 +65,7 @@ __all__ = [
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _Structure:
-    """Shape-only arrays of one task graph, cached in ``_batch_cache``."""
+    """Shape-only arrays of one task graph, cached in ``shape_cache``."""
 
     pred_count: np.ndarray  # (T,) intp
     succ_pad: np.ndarray  # (T, S) intp, padded successor ids
@@ -77,7 +77,7 @@ class _Structure:
 
 
 def _structure(compiled: CompiledInstance) -> _Structure:
-    cache = compiled._batch_cache
+    cache = compiled.shape_cache
     art = cache.get("lockstep")
     if art is not None:
         return art
@@ -123,7 +123,7 @@ def _structure(compiled: CompiledInstance) -> _Structure:
 class ParentContext:
     """Per-compilation context for lockstep evaluation.
 
-    Holds the value-dependent artifacts the shared ``_batch_cache``
+    Holds the value-dependent artifacts the shared ``shape_cache``
     cannot (delta clones share that cache but differ in weights): the
     dense ``(T, T)`` data matrix and the finiteness verdict gating
     batchability.  Built once per annealing parent / population member.

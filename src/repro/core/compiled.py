@@ -8,10 +8,14 @@ graphs to snapshot weights, and answered every ``est``/``eft``/
 ``data_ready_time`` query one ``(task, node)`` dict lookup at a time.
 
 :class:`CompiledInstance` is the fix: a dense, integer-indexed view of a
-:class:`~repro.core.instance.ProblemInstance` built **once per candidate**
-and shared by every :class:`~repro.core.simulator.ScheduleBuilder` over
-that candidate — compile once, schedule twice (or, for the genetic
-finder, once per population member per generation).  It precomputes:
+:class:`~repro.core.instance.ProblemInstance` shared by every
+:class:`~repro.core.simulator.ScheduleBuilder` over that instance — both
+schedules of a PISA candidate, every member of a genetic population.  A
+candidate that differs from its parent by one weight is not compiled at
+all: :meth:`CompiledInstance.apply_delta` derives its tables from the
+parent's, sharing every structure-only artifact; only structural moves
+(add/remove dependency) and fresh instances pay a full build.  It
+precomputes:
 
 * ``exec_tbl[t, v] = c(t) / s(v)`` — the related-machines timing table;
 * ``strength[u, v]`` — the full node-to-node strength matrix with the
@@ -19,7 +23,12 @@ finder, once per population member per generation).  It precomputes:
   arithmetic (``inf`` on the diagonal so ``data / inf == 0``, raw zeros
   off it so ``data / 0 == inf`` for positive data);
 * per-task predecessor/successor id lists plus per-edge data sizes, in
-  graph insertion order;
+  graph insertion order, and the dependency/link id lists PISA's
+  perturbations draw from;
+* the two topological orders the schedulers walk — the order of
+  ``networkx.topological_sort`` (rank functions, BIL) and the
+  lexicographic order (MCT-style schedulers, HEFT's tie-break) — computed
+  from the id lists, never from networkx;
 * the average-time quantities (``mean_exec``, ``mean_comm``) used by the
   list schedulers' rank functions, evaluated through the *reference*
   implementations so they are bit-identical by construction.
@@ -39,9 +48,11 @@ Cache invalidation
 ------------------
 ``compile_instance`` memoizes the compiled kernel on the instance object,
 keyed by the mutation counters :attr:`TaskGraph.version` /
-:attr:`Network.version` — PISA's perturbations mutate *copies*, so in the
-steady state every candidate compiles exactly once; direct mutation of a
-compiled instance simply triggers a recompile on next use.
+:attr:`Network.version` and the identity of the two halves — PISA's
+perturbations mutate *copies* (of the half they touch; the other half is
+shared), so in the steady state a candidate is compiled, or delta-derived,
+exactly once; direct mutation of a compiled instance simply triggers a
+recompile on next use.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ import numpy as np
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import ProblemInstance
 from repro.utils import phases
+from repro.utils.topo import lexicographic_ids
 
 __all__ = [
     "CompiledInstance",
@@ -136,9 +148,10 @@ class CompiledInstance:
         "node_str_order",
         "strength_row_has_zero",
         "cost_list",
-        "_topo_order",
-        "_link_uv",
-        "_batch_cache",
+        "dep_ids",
+        "link_ids",
+        "sort_order",
+        "shape_cache",
         "_mean_inv_speed",
         "_inv_strength_sum",
         "_num_links",
@@ -241,19 +254,28 @@ class CompiledInstance:
         }
         if any(not (size >= 0.0) for size in self.data.values()):
             _reject(instance)
-        # Acyclicity via Kahn's count over the already-extracted ids.
+        # Dependency ids in graph edge order (``TaskGraph.dependencies``).
+        self.dep_ids: tuple[tuple[int, int], ...] = tuple(self.data)
+        # Acyclicity via Kahn's algorithm over the already-extracted ids,
+        # run generation by generation exactly like networkx's
+        # ``topological_generations`` (in-degree scan in node order,
+        # children in successor order), so the order it leaves behind is
+        # the one ``networkx.topological_sort`` yields.
         remaining = [len(ps) for ps in self.pred_ids]
-        frontier = [t for t, r in enumerate(remaining) if r == 0]
-        seen = 0
-        while frontier:
-            tid = frontier.pop()
-            seen += 1
-            for sid in self.succ_ids[tid]:
-                remaining[sid] -= 1
-                if remaining[sid] == 0:
-                    frontier.append(sid)
-        if seen != len(self.tasks):
+        generation = [t for t, r in enumerate(remaining) if r == 0]
+        order: list[int] = []
+        while generation:
+            order.extend(generation)
+            following = []
+            for tid in generation:
+                for sid in self.succ_ids[tid]:
+                    remaining[sid] -= 1
+                    if remaining[sid] == 0:
+                        following.append(sid)
+            generation = following
+        if len(order) != len(self.tasks):
             _reject(instance)  # "task graph contains a cycle"
+        self.sort_order: tuple[Task, ...] = tuple(self.tasks[t] for t in order)
         # Per-task (pred_id, data_size) rows in predecessor order — the
         # iteration order of the scalar data-ready loop.
         self.pred_edges: tuple[tuple[tuple[int, float], ...], ...] = tuple(
@@ -284,17 +306,18 @@ class CompiledInstance:
         self._inv_strength_sum = inv_sum
         self._num_links = len(links)
         self._links_have_zero = have_zero
-        self._topo_order: list[Task] | None = None
-        # Link ids in graph edge order — the iteration order of the
-        # reference inverse-strength fold, kept so apply_delta can redo
-        # the fold bit-identically after a strength change.
-        self._link_uv: tuple[tuple[int, int], ...] = tuple(
+        # Link ids in graph edge order (``Network.links``) — also the
+        # iteration order of the reference inverse-strength fold, which
+        # apply_delta redoes bit-identically after a strength change.
+        self.link_ids: tuple[tuple[int, int], ...] = tuple(
             (node_id[u], node_id[v]) for u, v, _ in links
         )
-        # Structure-only artifacts (padded predecessor/successor arrays,
-        # tie-break orders) lazily built by the batched lockstep kernel;
-        # shared across delta clones, which never change structure.
-        self._batch_cache: dict = {}
+        # Structure-only artifacts built on first use (the lexicographic
+        # topological order, the lockstep kernel's padded arrays).  The
+        # dict itself is shared by every delta clone, which never changes
+        # structure, so whichever sibling builds an artifact first builds
+        # it for all of them.
+        self.shape_cache: dict = {}
         _STATS["full"] += 1
 
     # ------------------------------------------------------------------ #
@@ -317,7 +340,8 @@ class CompiledInstance:
 
         ``delta`` is a :class:`repro.pisa.perturbations.Delta`; the clone
         shares every structure artifact (task/node tuples, id maps,
-        predecessor lists, tie-break orders, the batch cache) and copies
+        predecessor lists, topological and tie-break orders, the
+        :attr:`shape_cache`) and copies
         only the tables the changed cell touches, recomputing the
         affected rows/columns and scalar aggregates with exactly the
         reference arithmetic — so the result is bit-identical to a fresh
@@ -402,7 +426,7 @@ class CompiledInstance:
             # sequential float sum cannot be patched incrementally.
             inv_sum = 0.0
             have_zero = False
-            for a, b in self._link_uv:
+            for a, b in self.link_ids:
                 s = float(strength[a, b])
                 if s == 0.0:
                     have_zero = True
@@ -491,18 +515,17 @@ class CompiledInstance:
     def topological_order(self) -> list[Task]:
         """Memoized :meth:`TaskGraph.topological_order` (lexicographic).
 
-        MCT-style schedulers and HEFT's priority tie-break both walk it;
-        one networkx sort per candidate instead of one per build.
+        MCT-style schedulers and HEFT's priority tie-break walk it.  Run
+        over the id lists, so unbound delta clones can answer it too; the
+        result is shared with every sibling through :attr:`shape_cache`.
         """
-        order = self._topo_order
+        order = self.shape_cache.get("lexicographic")
         if order is None:
-            if self._task_graph is None:
-                raise RuntimeError(
-                    "unbound delta compilation has no task graph to sort; "
-                    "bind() it or memoize the parent's order first"
-                )
-            order = self._task_graph.topological_order()
-            self._topo_order = order
+            ids = lexicographic_ids(
+                [str(t) for t in self.tasks], [len(ps) for ps in self.pred_ids], self.succ_ids
+            )
+            order = [self.tasks[t] for t in ids]
+            self.shape_cache["lexicographic"] = order
         return order
 
     # ------------------------------------------------------------------ #

@@ -26,6 +26,7 @@ from bisect import insort
 from collections.abc import Hashable, Iterable
 from contextlib import contextmanager
 
+import networkx as nx
 import numpy as np
 
 from repro.core.exceptions import SchedulingError
@@ -300,10 +301,12 @@ def use_reference_builder():
     Swaps :class:`ReferenceScheduleBuilder` into every imported module
     that refers to the live ``ScheduleBuilder`` class (the scheduler
     modules bind it at import time) and reverts the rank helpers in
-    ``repro.schedulers.common`` (mean times *and* the priority orders'
-    topological sort) to the uncompiled per-call reference functions, so
-    schedulers that only touch those paths build no ``CompiledInstance``
-    at all inside the block.  Restores everything on exit.
+    ``repro.schedulers.common`` (mean times *and* both topological
+    orders: the priority/MCT-style lexicographic order and the rank
+    functions' ``networkx.topological_sort``) to the uncompiled per-call
+    reference functions, so schedulers that only touch those paths build
+    no ``CompiledInstance`` at all inside the block.  Restores everything
+    on exit.
 
     (Schedulers that read compiled tables directly — GDL's mean
     execution times, BIL's static level table, FCP's enabling-parent
@@ -334,17 +337,23 @@ def use_reference_builder():
     def _ref_topological_order(instance):
         return instance.task_graph.topological_order()
 
+    def _ref_sort_order(instance):
+        return list(nx.topological_sort(instance.task_graph.graph))
+
     real_mean_exec = common._mean_exec
     real_mean_comm = common._mean_comm
     real_topological_order = common._topological_order
+    real_sort_order = common._sort_order
     common._mean_exec = _ref_mean_exec
     common._mean_comm = _ref_mean_comm
     common._topological_order = _ref_topological_order
+    common._sort_order = _ref_sort_order
     try:
         yield ReferenceScheduleBuilder
     finally:
         common._mean_exec = real_mean_exec
         common._mean_comm = real_mean_comm
         common._topological_order = real_topological_order
+        common._sort_order = real_sort_order
         for module, attr, value in patched:
             setattr(module, attr, value)

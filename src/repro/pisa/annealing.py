@@ -40,6 +40,7 @@ __all__ = [
     "AnnealingStep",
     "AnnealingResult",
     "SimulatedAnnealing",
+    "acceptance_probability",
     "require_finite_energy",
 ]
 
@@ -47,12 +48,12 @@ __all__ = [
 def require_finite_energy(value: float, initial: bool = False) -> None:
     """Raise the canonical ``ValueError`` when ``value`` is NaN or infinite.
 
-    The single choke point for energy validation: the serial annealer
-    calls it per iteration (its batch is one candidate), the speculative
-    batched annealer (:mod:`repro.pisa.batch`) validates a whole batch
-    with one vectorized ``np.isfinite`` and only falls back to this
-    per-candidate raise — with the same message the serial path would
-    have produced — when the batch flag trips for a consumed candidate.
+    The single choke point for energy validation: the annealers call it
+    per serially scored candidate; the speculative annealer
+    (:mod:`repro.pisa.batch`) validates a lockstep batch with one
+    vectorized ``np.isfinite`` and only falls back to this per-candidate
+    raise — with the same message the serial path would have produced —
+    when the batch flag trips for a consumed candidate.
     """
     if math.isnan(value) or math.isinf(value):
         if initial:
@@ -118,8 +119,29 @@ class AnnealingResult:
         return self.best_energy / self.initial_energy
 
 
+def acceptance_probability(
+    config: AnnealingConfig, candidate: float, current: float, best: float, temperature: float
+) -> float:
+    """Probability of accepting a candidate that does not beat the best."""
+    if config.acceptance == "paper":
+        # Algorithm 1, line 9: exp(-(M'/M_best) / T).  M_best > 0 always
+        # (makespan ratios are positive); guard the degenerate case.
+        if best <= 0:
+            return 1.0
+        return math.exp(-(candidate / best) / temperature)
+    # Metropolis on the *current* energy (standard maximizing SA).
+    if candidate >= current:
+        return 1.0
+    return math.exp((candidate - current) / temperature)
+
+
 class SimulatedAnnealing:
     """Generic maximizing annealer over arbitrary states.
+
+    The literal serial loop of Algorithm 1.  PISA itself runs
+    :class:`repro.pisa.batch.SpeculativeAnnealer`, which reproduces this
+    loop bit-for-bit; this class is its frozen reference (the trajectory
+    pins in ``tests/test_batched_annealing.py``).
 
     Parameters
     ----------
@@ -199,13 +221,4 @@ class SimulatedAnnealing:
     def _acceptance_probability(
         self, candidate: float, current: float, best: float, temperature: float
     ) -> float:
-        if self.config.acceptance == "paper":
-            # Algorithm 1, line 9: exp(-(M'/M_best) / T).  M_best > 0 always
-            # (makespan ratios are positive); guard the degenerate case.
-            if best <= 0:
-                return 1.0
-            return math.exp(-(candidate / best) / temperature)
-        # Metropolis on the *current* energy (standard maximizing SA).
-        if candidate >= current:
-            return 1.0
-        return math.exp((candidate - current) / temperature)
+        return acceptance_probability(self.config, candidate, current, best, temperature)

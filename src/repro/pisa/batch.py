@@ -11,27 +11,36 @@ entry points over the lockstep kernels of :mod:`repro.core.batched`:
   Either way element ``i`` is bit-identical to
   ``PISA(target, baseline).energy(instances[i])``.
 
-* :class:`SpeculativeAnnealer` is a drop-in for
-  :class:`~repro.pisa.annealing.SimulatedAnnealing` over PISA's energy.
-  Each round it speculates K sibling candidates of the current state
-  under the *all-reject* hypothesis — drawing the perturbation plan and
-  the acceptance uniform for each in exactly the serial interleaving
-  (plan_0, u_0, plan_1, u_1, ...) and snapshotting the generator state
-  before every draw — evaluates the delta-compiled siblings in one
-  lockstep pass, then replays the paper's sequential accept/reject chain
-  over the precomputed energies.  At the first acceptance the generator
-  is rewound to the state the serial annealer would hold (an
-  ``E > best`` acceptance never drew its uniform; a probabilistic one
-  consumed it) and the remaining speculation is discarded, so the
-  trajectory — every candidate, draw, temperature, history record, and
-  error — is bit-identical to the serial annealer by construction.
+* :class:`SpeculativeAnnealer` is PISA's annealer — every scheduler
+  pair, every restart.  Each round it speculates K sibling candidates of
+  the current state under the *all-reject* hypothesis — drawing the
+  perturbation plan and the acceptance uniform for each in exactly the
+  serial interleaving (plan_0, u_0, plan_1, u_1, ...) and snapshotting
+  the generator state before every draw — evaluates the delta-compiled
+  siblings in one lockstep pass, then replays the paper's sequential
+  accept/reject chain over the precomputed energies.  At the first
+  acceptance the generator is rewound to the state the serial annealer
+  would hold (an ``E > best`` acceptance never drew its uniform; a
+  probabilistic one consumed it) and the remaining speculation is
+  discarded, so the trajectory — every candidate, draw, temperature,
+  history record, and error — is bit-identical to Algorithm 1's serial
+  loop (the frozen :class:`~repro.pisa.annealing.SimulatedAnnealing`)
+  by construction.  The last candidate of a round draws its uniform
+  only when the replay needs it, so a round of depth 1 takes no
+  snapshot at all.
 
-Serial fallbacks keep the equivalence total: structural moves
-(add/remove dependency), non-batchable parents (non-finite weights), and
-deltas ``apply_delta`` rejects are materialized and scored lazily during
-replay — lazily, because a speculative candidate *past* the first
-acceptance was drawn from a state the serial annealer never visits, so
-its side effects (including validation errors) must never surface.
+Pairs without a lockstep kernel (and objectives other than the plain
+makespan ratio, and parents the kernel cannot stack) run at speculation
+depth 1: each candidate is planned from the parent's compiled tables,
+materialized as a copy of the half it touches, compiled as an
+``apply_delta`` clone of the parent for weight moves, and scored by the
+serial energy.  Inside a kernel round the same lazy path serves the
+candidates the kernel cannot take — structural moves (add/remove
+dependency), non-batchable parents (non-finite weights), and deltas
+``apply_delta`` rejects — lazily, because a speculative candidate *past*
+the first acceptance was drawn from a state the serial annealer never
+visits, so its side effects (including validation errors) must never
+surface.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from repro.pisa.annealing import (
     AnnealingConfig,
     AnnealingResult,
     AnnealingStep,
-    SimulatedAnnealing,
+    acceptance_probability,
     require_finite_energy,
 )
 from repro.pisa.perturbations import Delta, PerturbationSet, PlannedMove
@@ -174,14 +183,15 @@ def _clone_batchable(clone: CompiledInstance, delta: Delta) -> bool:
 
 
 class SpeculativeAnnealer:
-    """Batched drop-in for :class:`SimulatedAnnealing` over PISA's energy.
+    """PISA's annealer: Algorithm 1 with speculative lockstep evaluation.
 
-    Produces a bit-identical :class:`AnnealingResult` — same best state
-    and energy, same per-iteration history, same generator consumption,
-    same errors — while evaluating up to :data:`MAX_BATCH` candidates
-    per numpy pass (see the module docstring for the speculation and
-    rewind protocol).  When the scheduler pair has no lockstep kernel
-    the whole run delegates to the serial annealer.
+    Produces exactly the :class:`AnnealingResult` of the serial loop —
+    same best state and energy, same per-iteration history, same
+    generator consumption, same errors — while evaluating up to
+    :data:`MAX_BATCH` candidates per numpy pass when the scheduler pair
+    has lockstep kernels (see the module docstring for the speculation
+    and rewind protocol, and for the depth-1 path every other pair
+    takes).
 
     Parameters
     ----------
@@ -190,12 +200,15 @@ class SpeculativeAnnealer:
     perturbations:
         The PERTURB mixture (already constrained by the caller).
     energy:
-        The serial energy function (``PISA.energy``) used for the
-        initial state when it is not batchable and for per-candidate
-        fallbacks; must equal the lockstep result bit-for-bit wherever
-        both paths apply (pinned by ``tests/test_batched_annealing.py``).
+        The serial energy function, used for every candidate the kernel
+        does not score; where both paths apply the lockstep kernel must
+        equal it bit-for-bit (pinned by ``tests/test_batched_annealing.py``).
     config, keep_history:
-        As for :class:`SimulatedAnnealing`.
+        As for :class:`~repro.pisa.annealing.SimulatedAnnealing`.
+    lockstep:
+        Allow the lockstep kernel (when the pair has one).  The kernel
+        scores the plain makespan ratio, so pass ``False`` when
+        ``energy`` is any other objective.
     """
 
     def __init__(
@@ -206,6 +219,7 @@ class SpeculativeAnnealer:
         energy: Callable[[ProblemInstance], float],
         config: AnnealingConfig | None = None,
         keep_history: bool = True,
+        lockstep: bool = True,
     ) -> None:
         self.target = get_scheduler(target) if isinstance(target, str) else target
         self.baseline = get_scheduler(baseline) if isinstance(baseline, str) else baseline
@@ -213,29 +227,20 @@ class SpeculativeAnnealer:
         self.energy = energy
         self.config = config or AnnealingConfig()
         self.keep_history = keep_history
-        # The serial twin: whole-run fallback for unsupported pairs and
-        # the single source of the acceptance-probability arithmetic.
-        self._serial = SimulatedAnnealing(
-            energy=energy,
-            perturb=perturbations.perturb,
-            config=self.config,
-            keep_history=keep_history,
-        )
+        self.lockstep = lockstep and pair_supported(self.target.name, self.baseline.name)
 
     # ------------------------------------------------------------------ #
     def run(
         self, initial: ProblemInstance, rng: int | np.random.Generator | None = None
     ) -> AnnealingResult:
-        if not pair_supported(self.target.name, self.baseline.name):
-            return self._serial.run(initial, rng=rng)
         gen = as_generator(rng)
         cfg = self.config
 
         current = initial
         compiled = compile_instance(current)
-        ctx = ParentContext(compiled)
+        ctx = ParentContext(compiled) if self.lockstep else None
         traces: tuple[SchedTrace, SchedTrace] | None = None
-        if ctx.batchable:
+        if ctx is not None and ctx.batchable:
             ev = evaluate_batch(
                 ctx, SiblingTables.from_group([ctx]), self.target.name, self.baseline.name
             )
@@ -254,27 +259,34 @@ class SpeculativeAnnealer:
         iteration = 0
         window = _START_BATCH
         while temperature > cfg.t_min and iteration < cfg.max_iterations:
-            rounds = self._rounds_left(temperature, iteration, window)
+            kernel = ctx is not None and ctx.batchable
+            rounds = self._rounds_left(temperature, iteration, window if kernel else 1)
+            last = rounds - 1
 
-            # -- speculate: the serial draw interleaving under all-reject
+            # -- speculate: the serial draw interleaving under all-reject.
+            # pre_plan[i] (i >= 1) is the state before plan i, pre_u[i]
+            # the state before u_i; the last candidate's uniform is drawn
+            # in replay, only if needed, so it needs neither.
             t0 = perf_counter() if phases.enabled else 0.0
-            pre_plan: list[dict] = []
+            pre_plan: list[dict | None] = [None]
             pre_u: list[dict] = []
             moves: list[PlannedMove] = []
-            draws = np.empty(rounds)
+            draws: list[float] = []
             for i in range(rounds):
-                pre_plan.append(gen.bit_generator.state)
+                if i:
+                    pre_plan.append(gen.bit_generator.state)
                 moves.append(self.perturbations.plan(current, gen))
-                pre_u.append(gen.bit_generator.state)
-                draws[i] = gen.random()
+                if i < last:
+                    pre_u.append(gen.bit_generator.state)
+                    draws.append(gen.random())
             if phases.enabled:
                 phases.add("perturb", perf_counter() - t0)
 
             # -- evaluate the delta-compiled siblings in one pass
-            slot = np.full(rounds, -1, dtype=np.intp)
+            slot = [-1] * rounds
             clones: list[CompiledInstance] = []
             deltas: list[Delta] = []
-            if ctx.batchable and rounds >= _KERNEL_MIN:
+            if kernel and rounds >= _KERNEL_MIN:
                 for i, move in enumerate(moves):
                     if move.delta is None:
                         continue  # identity / structural: resolved in replay
@@ -284,7 +296,7 @@ class SpeculativeAnnealer:
                         clones.append(clone)
                         deltas.append(move.delta)
             evaluation: BatchEval | None = None
-            batch_energies = np.empty(0)
+            batch_energies: list[float] = []
             batch_finite = True
             if clones:
                 t0 = perf_counter() if phases.enabled else 0.0
@@ -292,18 +304,13 @@ class SpeculativeAnnealer:
                 evaluation = evaluate_batch(
                     ctx, tables, self.target.name, self.baseline.name, traces=traces
                 )
-                batch_energies = np.array(
-                    [
-                        makespan_ratio(
-                            float(evaluation.target.makespans[k]),
-                            float(evaluation.baseline.makespans[k]),
-                        )
-                        for k in range(len(clones))
-                    ]
-                )
-                # Satellite of the finiteness hoist: one vectorized check
-                # at the batch boundary; per-candidate raises only replay
-                # when this trips (and only for consumed candidates).
+                batch_energies = [
+                    makespan_ratio(float(t), float(b))
+                    for t, b in zip(evaluation.target.makespans, evaluation.baseline.makespans)
+                ]
+                # One vectorized finiteness check at the batch boundary;
+                # per-candidate raises only replay when this trips (and
+                # only for consumed candidates).
                 batch_finite = bool(np.isfinite(batch_energies).all())
                 if phases.enabled:
                     phases.add("schedule", perf_counter() - t0)
@@ -314,21 +321,23 @@ class SpeculativeAnnealer:
                 move = moves[i]
                 cand_inst: ProblemInstance | None = None
                 if slot[i] >= 0:
-                    candidate_energy = float(batch_energies[slot[i]])
+                    candidate_energy = batch_energies[slot[i]]
                     if not batch_finite:
                         require_finite_energy(candidate_energy)
-                elif move.delta is None and move.mutate is None:
-                    # Identity move: the serial annealer scores a plain
-                    # copy — same values, same (already validated) energy.
+                elif move.is_identity:
+                    # The serial annealer scores a plain copy — same
+                    # values, same (already validated) energy.
                     candidate_energy = current_energy
                 else:
-                    # Lazy serial fallback: materialize only now, so a
+                    # Lazy serial path: materialize only now, so a
                     # candidate past the first acceptance — drawn from a
                     # state the serial run never visits — has no effect.
-                    # Weight moves bind a delta clone to the copy first,
-                    # so the energy call skips recompilation.  (Phase
-                    # accounting happens inside apply_delta / energy.)
+                    # Weight moves bind a delta clone of the parent to the
+                    # copy, so the energy call skips recompilation.
+                    t0 = perf_counter() if phases.enabled else 0.0
                     cand_inst = move.materialize(current)
+                    if phases.enabled:
+                        phases.add("perturb", perf_counter() - t0)
                     if move.delta is not None:
                         compiled.apply_delta(move.delta, instance=cand_inst)
                     candidate_energy = float(self.energy(cand_inst))
@@ -336,7 +345,8 @@ class SpeculativeAnnealer:
 
                 if candidate_energy > best_energy:
                     # Serial accepts here *without* drawing its uniform.
-                    gen.bit_generator.state = pre_u[i]
+                    if i < last:
+                        gen.bit_generator.state = pre_u[i]
                     candidate, compiled, ctx, traces = self._accept(
                         current, move, slot[i], clones, evaluation, cand_inst
                     )
@@ -344,23 +354,23 @@ class SpeculativeAnnealer:
                     current, current_energy = candidate, candidate_energy
                     accepted = True
                 else:
-                    accepted = draws[i] < self._serial._acceptance_probability(
-                        candidate_energy, current_energy, best_energy, temperature
+                    u = draws[i] if i < last else gen.random()
+                    accepted = u < acceptance_probability(
+                        cfg, candidate_energy, current_energy, best_energy, temperature
                     )
                     if accepted:
                         # Serial consumed u_i; its state is pre_plan[i+1]
                         # (the tail past i is pure speculation).
-                        if i + 1 < rounds:
+                        if i < last:
                             gen.bit_generator.state = pre_plan[i + 1]
-                        if move.delta is None and move.mutate is None:
-                            # Keep the current objects: the serial copy
-                            # is value-identical in every future draw.
-                            candidate = current
-                        else:
-                            candidate, compiled, ctx, traces = self._accept(
+                        if not move.is_identity:
+                            # (An identity candidate keeps the current
+                            # objects: the serial copy is value-identical
+                            # in every future draw.)
+                            current, compiled, ctx, traces = self._accept(
                                 current, move, slot[i], clones, evaluation, cand_inst
                             )
-                        current, current_energy = candidate, candidate_energy
+                        current_energy = candidate_energy
 
                 if self.keep_history:
                     history.append(
@@ -397,13 +407,13 @@ class SpeculativeAnnealer:
         clones: list[CompiledInstance],
         evaluation: BatchEval | None,
         cand_inst: ProblemInstance | None = None,
-    ) -> tuple[ProblemInstance, CompiledInstance, ParentContext, Any]:
+    ) -> tuple[ProblemInstance, CompiledInstance, ParentContext | None, Any]:
         """Materialize an accepted non-identity candidate and rebuild the
         parent-side evaluation state (compiled tables, context, traces).
 
         ``cand_inst`` is the copy a lazy serial evaluation already
-        materialized (with its delta clone bound as the compile cache);
-        kernel-scored candidates materialize only here, on acceptance.
+        materialized (with its compilation cached on it); kernel-scored
+        candidates materialize only here, on acceptance.
         """
         inst = cand_inst if cand_inst is not None else move.materialize(current)
         if slot >= 0:
@@ -413,7 +423,7 @@ class SpeculativeAnnealer:
             traces = evaluation.traces_for(slot) if ctx.batchable else None
         else:
             compiled = compile_instance(inst)
-            ctx = ParentContext(compiled)
+            ctx = ParentContext(compiled) if self.lockstep else None
             traces = None
         return inst, compiled, ctx, traces
 

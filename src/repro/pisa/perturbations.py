@@ -37,13 +37,22 @@ Every operator exposes two equivalent surfaces:
   a structured :class:`Delta` when it is a single weight change) and
   materializes the perturbed instance only on demand.
 
-The split is what makes speculative batched annealing cheap: proposing a
-candidate costs only the RNG draws (~µs), the graph copy (~100s of µs)
-is paid only for candidates that are actually accepted or need a serial
-evaluation, and the :class:`Delta` feeds
+The split is what makes speculative annealing cheap: proposing a
+candidate costs only the RNG draws, the copy is paid only for candidates
+that are evaluated serially or accepted, and the :class:`Delta` feeds
 :meth:`repro.core.compiled.CompiledInstance.apply_delta` so evaluation
 reuses the parent's compiled tables.  ``apply`` is implemented as
 ``plan(...).materialize(...)``, so the two paths cannot drift.
+
+Plans are drawn from the parent's compiled tables
+(:class:`~repro.core.compiled.CompiledInstance`: task, node, dependency
+and link lists in graph order, their weights, O(1) applicability
+counts), not from networkx — the parent of every annealing step is
+already compiled, so a draw costs no graph walk.  A materialized move
+copies only the half of the instance it touches (the network for node
+and link moves, the task graph for task, dependency and structural
+moves) and shares the other half with the parent; neither is ever
+mutated after the copy, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -55,9 +64,9 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.core.compiled import CompiledInstance, compile_instance
 from repro.core.instance import ProblemInstance
 from repro.utils import phases
-from repro.utils.topo import is_dag_after_edge
 
 __all__ = [
     "Delta",
@@ -78,6 +87,9 @@ MIN_NODE_SPEED = 1e-6
 
 #: Delta kinds understood by ``CompiledInstance.apply_delta``.
 DELTA_KINDS = ("task_weight", "dep_weight", "node_speed", "link_strength")
+
+#: The delta kinds that change the network half of an instance.
+NETWORK_KINDS = ("node_speed", "link_strength")
 
 
 @dataclass(frozen=True)
@@ -124,31 +136,49 @@ class PlannedMove:
     delta: Delta | None = None
     mutate: Callable[[ProblemInstance], None] | None = field(default=None, compare=False)
 
+    @property
+    def is_identity(self) -> bool:
+        """No operator applied: the candidate equals its parent."""
+        return self.delta is None and self.mutate is None
+
     def materialize(self, parent: ProblemInstance) -> ProblemInstance:
-        out = parent.copy()
+        """The perturbed instance: a copy of the half the move touches.
+
+        The untouched half is *shared* with ``parent`` (the identity move
+        copies both), so ``parent`` itself is never changed.
+        """
+        if self.is_identity:
+            return parent.copy()
+        network, task_graph = parent.network, parent.task_graph
+        if self.delta is not None and self.delta.kind in NETWORK_KINDS:
+            network = network.copy()
+        else:
+            task_graph = task_graph.copy()
+        out = ProblemInstance(network=network, task_graph=task_graph, name=parent.name)
         if self.delta is not None:
             apply_delta_mutation(out, self.delta)
-        elif self.mutate is not None:
+        else:
             self.mutate(out)
         return out
 
 
 class Perturbation(ABC):
-    """One atomic instance-space move."""
+    """One atomic instance-space move, drawn from an instance's compiled
+    tables (:func:`~repro.core.compiled.compile_instance`)."""
 
     name: str = ""
 
     @abstractmethod
-    def applicable(self, instance: ProblemInstance) -> bool:
-        """Can this operator do anything on ``instance``?"""
+    def applicable(self, tables: CompiledInstance) -> bool:
+        """Can this operator do anything on the compiled instance?"""
 
     @abstractmethod
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        """Draw the move without copying ``instance`` (see module docs)."""
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        """Draw the move without copying the instance (see module docs)."""
 
     def apply(self, instance: ProblemInstance, rng: np.random.Generator) -> ProblemInstance:
         """Return a perturbed *copy* of ``instance``."""
-        return self.plan(instance, rng).materialize(instance)
+        return self.plan(compile_instance(instance), rng).materialize(instance)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -183,14 +213,13 @@ class ChangeNetworkNodeWeight(_WeightPerturbation):
 
     name = "change_network_node_weight"
 
-    def applicable(self, instance: ProblemInstance) -> bool:
-        return len(instance.network) > 0
+    def applicable(self, tables: CompiledInstance) -> bool:
+        return len(tables.nodes) > 0
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        nodes = instance.network.nodes
-        node = nodes[int(rng.integers(len(nodes)))]
-        value = self._nudge(instance.network.speed(node), rng, floor=MIN_NODE_SPEED)
-        return PlannedMove(self.name, delta=Delta("node_speed", (node,), value))
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        vid = int(rng.integers(len(tables.nodes)))
+        value = self._nudge(float(tables.speed[vid]), rng, floor=MIN_NODE_SPEED)
+        return PlannedMove(self.name, delta=Delta("node_speed", (tables.nodes[vid],), value))
 
 
 class ChangeNetworkEdgeWeight(_WeightPerturbation):
@@ -198,14 +227,14 @@ class ChangeNetworkEdgeWeight(_WeightPerturbation):
 
     name = "change_network_edge_weight"
 
-    def applicable(self, instance: ProblemInstance) -> bool:
-        return len(instance.network.links) > 0
+    def applicable(self, tables: CompiledInstance) -> bool:
+        return len(tables.link_ids) > 0
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        links = instance.network.links
-        u, v = links[int(rng.integers(len(links)))]
-        value = self._nudge(instance.network.strength(u, v), rng)
-        return PlannedMove(self.name, delta=Delta("link_strength", (u, v), value))
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        a, b = tables.link_ids[int(rng.integers(len(tables.link_ids)))]
+        value = self._nudge(float(tables.strength[a, b]), rng)
+        key = (tables.nodes[a], tables.nodes[b])
+        return PlannedMove(self.name, delta=Delta("link_strength", key, value))
 
 
 class ChangeTaskWeight(_WeightPerturbation):
@@ -213,14 +242,13 @@ class ChangeTaskWeight(_WeightPerturbation):
 
     name = "change_task_weight"
 
-    def applicable(self, instance: ProblemInstance) -> bool:
-        return len(instance.task_graph) > 0
+    def applicable(self, tables: CompiledInstance) -> bool:
+        return len(tables.tasks) > 0
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        tasks = instance.task_graph.tasks
-        task = tasks[int(rng.integers(len(tasks)))]
-        value = self._nudge(instance.task_graph.cost(task), rng)
-        return PlannedMove(self.name, delta=Delta("task_weight", (task,), value))
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        tid = int(rng.integers(len(tables.tasks)))
+        value = self._nudge(tables.cost_list[tid], rng)
+        return PlannedMove(self.name, delta=Delta("task_weight", (tables.tasks[tid],), value))
 
 
 class ChangeDependencyWeight(_WeightPerturbation):
@@ -228,14 +256,26 @@ class ChangeDependencyWeight(_WeightPerturbation):
 
     name = "change_dependency_weight"
 
-    def applicable(self, instance: ProblemInstance) -> bool:
-        return instance.task_graph.num_dependencies > 0
+    def applicable(self, tables: CompiledInstance) -> bool:
+        return len(tables.dep_ids) > 0
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        deps = instance.task_graph.dependencies
-        src, dst = deps[int(rng.integers(len(deps)))]
-        value = self._nudge(instance.task_graph.data_size(src, dst), rng)
-        return PlannedMove(self.name, delta=Delta("dep_weight", (src, dst), value))
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        edge = tables.dep_ids[int(rng.integers(len(tables.dep_ids)))]
+        value = self._nudge(tables.data[edge], rng)
+        key = (tables.tasks[edge[0]], tables.tasks[edge[1]])
+        return PlannedMove(self.name, delta=Delta("dep_weight", key, value))
+
+
+def _ancestors(tables: CompiledInstance, tid: int) -> set[int]:
+    """Ids of every task with a path to ``tid`` (``tid`` excluded)."""
+    seen: set[int] = set()
+    stack = list(tables.pred_ids[tid])
+    while stack:
+        pid = stack.pop()
+        if pid not in seen:
+            seen.add(pid)
+            stack.extend(tables.pred_ids[pid])
+    return seen
 
 
 @dataclass(repr=False)
@@ -247,32 +287,28 @@ class AddDependency(Perturbation):
 
     name = "add_dependency"
 
-    def applicable(self, instance: ProblemInstance) -> bool:
-        return len(instance.task_graph) >= 2
+    def applicable(self, tables: CompiledInstance) -> bool:
+        return len(tables.tasks) >= 2
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        tg = instance.task_graph
-        tasks = list(tg.tasks)
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        tasks = tables.tasks
         # Paper: pick t uniformly, then a uniformly random legal t'.  If t
         # has no legal partner, fall through to the next candidate source
         # (in random order) so the operator is a no-op only when the graph
-        # admits no new edge at all.  All draws read the parent graph only
+        # admits no new edge at all.  All draws read the parent only
         # (legality is a structural question, identical on any copy).
-        order = list(rng.permutation(len(tasks)))
-        for src_idx in order:
-            src = tasks[src_idx]
-            partners = [
-                dst
-                for dst in tasks
-                if dst != src
-                and not tg.graph.has_edge(src, dst)
-                and is_dag_after_edge(tg.graph, src, dst)
-            ]
+        # t -> t' is legal when it is new and t' is not an ancestor of t
+        # (a path t' ~> t would close a cycle).
+        for src_id in rng.permutation(len(tasks)).tolist():
+            blocked = _ancestors(tables, src_id)
+            blocked.add(src_id)
+            blocked.update(tables.succ_ids[src_id])
+            partners = [dst_id for dst_id in range(len(tasks)) if dst_id not in blocked]
             if partners:
-                dst = partners[int(rng.integers(len(partners)))]
+                dst = tasks[partners[int(rng.integers(len(partners)))]]
                 weight = float(rng.uniform(self.low, self.high))
 
-                def mutate(out: ProblemInstance, _s=src, _d=dst, _w=weight) -> None:
+                def mutate(out: ProblemInstance, _s=tasks[src_id], _d=dst, _w=weight) -> None:
                     out.task_graph.add_dependency(_s, _d, _w)
 
                 return PlannedMove(self.name, mutate=mutate)
@@ -284,14 +320,13 @@ class RemoveDependency(Perturbation):
 
     name = "remove_dependency"
 
-    def applicable(self, instance: ProblemInstance) -> bool:
-        return instance.task_graph.num_dependencies > 0
+    def applicable(self, tables: CompiledInstance) -> bool:
+        return len(tables.dep_ids) > 0
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
-        deps = instance.task_graph.dependencies
-        src, dst = deps[int(rng.integers(len(deps)))]
+    def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
+        sid, did = tables.dep_ids[int(rng.integers(len(tables.dep_ids)))]
 
-        def mutate(out: ProblemInstance, _s=src, _d=dst) -> None:
+        def mutate(out: ProblemInstance, _s=tables.tasks[sid], _d=tables.tasks[did]) -> None:
             out.task_graph.remove_dependency(_s, _d)
 
         return PlannedMove(self.name, mutate=mutate)
@@ -321,14 +356,17 @@ class PerturbationSet:
     def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
         """Draw one move (same RNG stream as :meth:`perturb`) without copying.
 
-        The identity move (no applicable operator) materializes to a plain
-        copy, matching what :meth:`perturb` always returned in that case.
+        Reads ``instance``'s compiled tables (a cache hit for any
+        annealing state).  The identity move (no applicable operator)
+        materializes to a plain copy, matching what :meth:`perturb`
+        always returned in that case.
         """
-        candidates = [op for op in self.operators if op.applicable(instance)]
+        tables = compile_instance(instance)
+        candidates = [op for op in self.operators if op.applicable(tables)]
         if not candidates:
             return PlannedMove("identity")
         op = candidates[int(rng.integers(len(candidates)))]
-        return op.plan(instance, rng)
+        return op.plan(tables, rng)
 
     def without(self, *names: str) -> "PerturbationSet":
         """A copy of this set minus the named operators (Section VII)."""

@@ -22,10 +22,10 @@ from time import perf_counter
 import numpy as np
 
 from repro.benchmarking.metrics import makespan_ratio
-from repro.core.batched import pair_supported
 from repro.core.instance import ProblemInstance
 from repro.core.scheduler import Scheduler, get_scheduler
-from repro.pisa.annealing import AnnealingConfig, AnnealingResult, SimulatedAnnealing
+from repro.pisa.annealing import AnnealingConfig, AnnealingResult
+from repro.pisa.batch import SpeculativeAnnealer
 from repro.pisa.constraints import (
     SearchConstraints,
     apply_initial_constraints,
@@ -50,11 +50,12 @@ class PISAConfig:
     runtime work units default to history-off; the Fig. 5/6 trajectory
     analyses (and ``SweepSpec`` runs that request it) switch it on.
 
-    ``batch`` routes restarts through the speculative batched annealer
-    (:class:`~repro.pisa.batch.SpeculativeAnnealer`) whenever the
-    scheduler pair has lockstep kernels — bit-identical trajectories
-    (pinned by ``tests/test_batched_annealing.py``), order-of-magnitude
-    faster.  Switch it off to force the serial reference loop.
+    ``batch`` allows the lockstep kernel of
+    :class:`~repro.pisa.batch.SpeculativeAnnealer` (PISA's only annealer)
+    for scheduler pairs that have one.  Switching it off only turns the
+    kernel off — every candidate is then scored serially — and results
+    stay bit-identical either way (pinned by
+    ``tests/test_batched_annealing.py``).
     """
 
     annealing: AnnealingConfig = field(default_factory=AnnealingConfig)
@@ -169,24 +170,16 @@ class PISA:
         restarts into a :class:`PISAResult`.
         """
         gen = as_generator(rng)
-        if self.config.batch and pair_supported(self.target.name, self.baseline.name):
-            from repro.pisa.batch import SpeculativeAnnealer
-
-            annealer: SimulatedAnnealing | SpeculativeAnnealer = SpeculativeAnnealer(
-                target=self.target,
-                baseline=self.baseline,
-                perturbations=self.perturbations,
-                energy=self.energy,
-                config=self.config.annealing,
-                keep_history=self.config.keep_history,
-            )
-        else:
-            annealer = SimulatedAnnealing(
-                energy=self.energy,
-                perturb=self.perturbations.perturb,
-                config=self.config.annealing,
-                keep_history=self.config.keep_history,
-            )
+        annealer = SpeculativeAnnealer(
+            target=self.target,
+            baseline=self.baseline,
+            perturbations=self.perturbations,
+            energy=self.energy,
+            config=self.config.annealing,
+            keep_history=self.config.keep_history,
+            # The kernel scores the plain makespan ratio only.
+            lockstep=self.config.batch and type(self).energy is PISA.energy,
+        )
         initial = apply_initial_constraints(self.initial_factory(gen), self.constraints)
         return annealer.run(initial, rng=gen)
 

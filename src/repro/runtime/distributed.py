@@ -190,12 +190,32 @@ class Lease:
         )
 
 
+#: How often :meth:`LeaseDir.release` retries a busy fence, and how long
+#: it waits between tries (a fence is held for microseconds).
+_FENCE_RETRIES = 50
+_FENCE_BACKOFF_S = 0.002
+
+
 class LeaseDir:
     """The ``leases/`` directory of one run: claim, renew, release.
 
-    All mutations are single atomic filesystem operations (``O_EXCL``
-    create, ``rename``, ``replace``, ``unlink``), so any number of
-    workers — threads, processes, or hosts — can race safely.
+    All mutations are atomic filesystem operations, so any number of
+    workers — threads, processes, or hosts — can race safely.  A fresh
+    claim is an ``O_EXCL`` create.  Every mutation of an *existing*
+    lease — a steal, a renewal, a release — is **fenced on file
+    identity**: the mutator reads the lease and ``fstat``s the file it
+    read, then hard-links that path to a fence name derived from the
+    inode (``<lease>.fence.<inode>``; ``link`` fails on ``EEXIST``, so at
+    most one mutator holds a given lease file's fence), and proceeds only
+    if the fence is the very file it judged (same inode, same heartbeat).
+    Every mutation of a lease file happens under its fence, so between
+    the check and the act nobody else can swap the file — a second thief
+    can no longer replace the first thief's fresh lease, nor a robbed
+    worker's renewal or release clobber the thief's.  Steals and
+    renewals replace the file atomically (``os.replace``), so the lease
+    path is never momentarily empty; a fence left behind by a mutator
+    that died inside its critical section is broken once watched for a
+    TTL, like a stale lease.
 
     Staleness is **observer-local**: each ``LeaseDir`` instance remembers
     when it first observed a lease's current heartbeat value (on its own
@@ -233,15 +253,15 @@ class LeaseDir:
         path = self.lease_path(unit_key)
         now = time.time()
         reclaimed = False
+        fd: int | None = None
+        fence: Path | None = None
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            # A first-try create can still be a takeover: a sibling
-            # contender may have torn down the stale lease (rename to
-            # tombstone in ``_expire``) between our last probe and this
-            # create.  If our own watch on this unit had already run past
-            # the departed holder's declared TTL, the holder was presumed
-            # dead by the time the path cleared — flag the claim reclaimed
-            # so the handover is not invisible in status/logs.
+            # A first-try create can still follow a death: the holder may
+            # have been presumed dead by our own watch just before its
+            # lease disappeared (a release racing the TTL, or a cleanup).
+            # Flag such a claim reclaimed so the handover is not invisible
+            # in status/logs.
             seen = self._observed.get(path.name)
             if seen is not None and time.monotonic() - seen[1] > seen[2]:
                 reclaimed = True
@@ -249,13 +269,16 @@ class LeaseDir:
             outcome = self._expire(path)
             if outcome is None:
                 return None
-            # "vanished" means the holder released normally between our
-            # O_EXCL failure and now — an ordinary race, not a reclaim.
-            reclaimed = outcome == "stolen"
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                return None  # lost the re-create race after the steal
+            if outcome == "vanished":
+                # The holder released it normally between our O_EXCL
+                # failure and now — an ordinary race, not a reclaim.
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+                except FileExistsError:
+                    return None  # lost the re-create race
+            else:
+                fence = outcome  # we hold the stale lease's fence
+                reclaimed = True
         self._observed.pop(path.name, None)
         lease = Lease(
             unit=unit_key,
@@ -265,29 +288,35 @@ class LeaseDir:
             ttl=self.ttl,
             reclaimed=reclaimed,
         )
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(lease.to_dict()) + "\n")
-            fh.flush()
+        if fd is not None:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(lease.to_dict()) + "\n")
+                fh.flush()
+        else:
+            self._write_over(path, lease)
+            os.unlink(fence)
         if reclaimed:
             logger.warning(
                 "reclaimed stale lease on unit %r for worker %s", unit_key, worker
             )
         return lease
 
-    def _expire(self, path: Path) -> str | None:
-        """Clear the way to re-claim ``path`` if its holder is gone.
+    def _expire(self, path: Path) -> Path | str | None:
+        """Fence ``path``'s lease if its holder is gone.
 
-        Returns ``"stolen"`` (we won the takeover of a stale lease),
-        ``"vanished"`` (the holder released it normally in the meantime),
-        or ``None`` (a holder not yet presumed dead still owns it).
+        Returns the fence (we won the takeover of a stale lease and may
+        now replace it), ``"vanished"`` (the holder released it normally
+        in the meantime), or ``None`` (a holder not yet presumed dead
+        still owns it, or another contender is taking it over).
         """
-        existing = self.load(path)
+        found = self._read(path)
+        if found is None:
+            return "vanished"  # released; O_EXCL settles the rest
+        existing, ino = found
         # Torn files (a writer died mid-write) have no heartbeat; watch
         # them under the None marker with our own TTL.
         marker = existing.heartbeat if existing is not None else None
         ttl = existing.ttl if existing is not None else self.ttl
-        if existing is None and not path.exists():
-            return "vanished"  # released; O_EXCL settles the rest
         mono = time.monotonic()
         seen = self._observed.get(path.name)
         if seen is None or seen[0] != marker:
@@ -298,15 +327,79 @@ class LeaseDir:
             return None
         if mono - seen[1] <= ttl:
             return None
-        tomb = path.with_name(f"{path.name}.stale.{os.getpid()}.{secrets.token_hex(2)}")
+        return self._fence(path, ino, marker)
+
+    def _read(self, path: Path) -> tuple[Lease | None, int] | None:
+        """The lease at ``path`` (``None`` if torn) and the inode it was
+        read from; ``None`` if there is no file."""
         try:
-            os.rename(path, tomb)
+            with open(path, "rb") as fh:
+                ino = os.fstat(fh.fileno()).st_ino
+                raw = fh.read()
         except OSError:
-            return None  # another contender stole it first
-        self._observed.pop(path.name, None)
+            return None
+        try:
+            return Lease.from_dict(json.loads(raw)), ino
+        except ValueError:  # torn or foreign payload
+            return None, ino
+
+    def _fence(self, path: Path, ino: int, marker: float | None) -> Path | None:
+        """Pin the lease file judged at ``path`` (inode ``ino``, heartbeat
+        ``marker``) for one mutation; ``None`` if it is not ours to pin.
+
+        The fence is a hard link named after the inode: ``link`` is
+        exclusive, so one mutator at a time holds a given lease file, and
+        the link is checked to be that very file — a lease swapped in
+        since it was judged is never touched.  The holder mutates
+        ``path`` and then unlinks the fence.
+        """
+        fence = path.with_name(f"{path.name}.fence.{ino}")
+        try:
+            os.link(path, fence)
+        except FileExistsError:
+            self._break_abandoned(fence)
+            return None
+        except OSError:
+            return None  # the lease vanished
+        held = self._read(fence)
+        if held is None or held[1] != ino or (
+            (held[0].heartbeat if held[0] is not None else None) != marker
+        ):
+            os.unlink(fence)  # a different lease, or rewritten: not ours
+            return None
+        self._observed.pop(fence.name, None)
+        return fence
+
+    def _break_abandoned(self, fence: Path) -> None:
+        """Remove a fence whose holder died inside its critical section.
+
+        A live holder keeps a fence for microseconds; one watched
+        unchanged (same link episode: inode change time) for a TTL is
+        presumed abandoned, so the lease it pins becomes mutable again.
+        """
+        try:
+            st = os.stat(fence)
+        except OSError:
+            return
+        marker = float(st.st_ctime_ns)
+        mono = time.monotonic()
+        seen = self._observed.get(fence.name)
+        if seen is None or seen[0] != marker:
+            self._observed[fence.name] = (marker, mono, self.ttl)
+            return
+        if mono - seen[1] <= seen[2]:
+            return
+        tomb = fence.with_name(f"{fence.name}.broken.{os.getpid()}.{secrets.token_hex(2)}")
         with contextlib.suppress(OSError):
+            os.rename(fence, tomb)
             os.unlink(tomb)
-        return "stolen"
+        self._observed.pop(fence.name, None)
+
+    def _write_over(self, path: Path, lease: Lease) -> None:
+        """Atomically replace the (fenced) lease at ``path`` with ``lease``."""
+        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{secrets.token_hex(2)}")
+        tmp.write_text(json.dumps(lease.to_dict()) + "\n")
+        os.replace(tmp, path)
 
     def renew(self, lease: Lease) -> Lease | None:
         """Refresh ``lease``'s heartbeat; ``None`` if ownership was lost.
@@ -321,13 +414,15 @@ class LeaseDir:
         a completed unit, blocking gc for a full TTL.
         """
         path = self.lease_path(lease.unit)
-        current = self.load(path)
-        if current is None or current.worker != lease.worker:
+        found = self._read(path)
+        if found is None or found[0] is None or found[0].worker != lease.worker:
             return None
+        fence = self._fence(path, found[1], found[0].heartbeat)
+        if fence is None:
+            return None  # it is being stolen (or released) right now
         updated = replace(lease, heartbeat=time.time())
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{secrets.token_hex(2)}")
-        tmp.write_text(json.dumps(updated.to_dict()) + "\n")
-        os.replace(tmp, path)
+        self._write_over(path, updated)
+        os.unlink(fence)
         return updated
 
     def release(self, lease: Lease) -> None:
@@ -336,14 +431,20 @@ class LeaseDir:
         A stalled worker whose lease was stolen must not unlink the
         thief's live lease (e.g. from the failure-path release in the
         drain loop): that would hide the thief from gc/status and let a
-        third worker start the unit concurrently.
+        third worker start the unit concurrently.  A busy fence is
+        usually our own heartbeat renewing the lease; retry briefly.
         """
         path = self.lease_path(lease.unit)
-        current = self.load(path)
-        if current is not None and current.worker != lease.worker:
-            return  # stolen: the thief's lease is not ours to remove
-        with contextlib.suppress(OSError):
-            os.unlink(path)
+        for _ in range(_FENCE_RETRIES):
+            found = self._read(path)
+            if found is None or found[0] is None or found[0].worker != lease.worker:
+                return  # gone, or not ours: the thief's lease is not ours to remove
+            fence = self._fence(path, found[1], found[0].heartbeat)
+            if fence is not None:
+                os.unlink(path)
+                os.unlink(fence)
+                return
+            time.sleep(_FENCE_BACKOFF_S)
 
     def load(self, path: Path) -> Lease | None:
         """The lease at ``path``, or ``None`` if torn/unreadable/vanished."""

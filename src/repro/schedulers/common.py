@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-import networkx as nx
-
 from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 
@@ -49,6 +47,11 @@ def _topological_order(instance: ProblemInstance) -> list[Task]:
     return compile_instance(instance).topological_order()
 
 
+def _sort_order(instance: ProblemInstance) -> tuple[Task, ...]:
+    """Compiled-cache route to ``networkx.topological_sort`` of the task graph."""
+    return compile_instance(instance).sort_order
+
+
 def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
     """HEFT's upward rank ``rank_u``.
 
@@ -59,7 +62,7 @@ def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
     """
     graph = instance.task_graph.graph
     ranks: dict[Task, float] = {}
-    for task in reversed(list(nx.topological_sort(graph))):
+    for task in reversed(_sort_order(instance)):
         succ_part = max(
             (_mean_comm(instance, task, s) + ranks[s] for s in graph.successors(task)),
             default=0.0,
@@ -77,7 +80,7 @@ def downward_rank(instance: ProblemInstance) -> dict[Task, float]:
     """
     graph = instance.task_graph.graph
     ranks: dict[Task, float] = {}
-    for task in nx.topological_sort(graph):
+    for task in _sort_order(instance):
         ranks[task] = max(
             (
                 ranks[p] + _mean_exec(instance, p) + _mean_comm(instance, p, task)
@@ -96,7 +99,7 @@ def static_level(instance: ProblemInstance) -> dict[Task, float]:
     """
     graph = instance.task_graph.graph
     levels: dict[Task, float] = {}
-    for task in reversed(list(nx.topological_sort(graph))):
+    for task in reversed(_sort_order(instance)):
         succ_part = max((levels[s] for s in graph.successors(task)), default=0.0)
         levels[task] = _mean_exec(instance, task) + succ_part
     return levels

@@ -15,6 +15,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
 from repro.core.simulator import ScheduleBuilder
+from repro.schedulers import common
 
 __all__ = ["MCTScheduler"]
 
@@ -35,7 +36,7 @@ class MCTScheduler(Scheduler):
 
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
-        for task in instance.task_graph.topological_order():
+        for task in common._topological_order(instance):
             node = builder.best_node_by_eft(task)
             builder.commit(task, node)
         return builder.schedule()

@@ -271,9 +271,9 @@ def _config_from_dict(data: Any, path: str) -> PISAConfig:
     # trajectory analyses; ratios are identical either way, so sweeps
     # default to the lean history-off work units.
     keep_history = _take(data, "keep_history", path, types=bool, default=False)
-    # The speculative batched annealer is bit-identical to the serial
-    # loop, so sweeps default it on; "batch": false forces the serial
-    # reference path (e.g. for timing comparisons).
+    # The lockstep kernel of PISA's annealer is bit-identical to serial
+    # scoring, so sweeps default it on; "batch": false only turns the
+    # kernel off (e.g. for timing comparisons) — results are identical.
     batch = _take(data, "batch", path, types=bool, default=True)
     ann_data = _take(data, "annealing", path, types=dict, default=None)
     _reject_unknown(data, path, ("restarts", "keep_history", "batch", "annealing"))

@@ -8,13 +8,14 @@ SMT schedulers (enumeration of linear extensions).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Sequence
 from itertools import count
 
 import networkx as nx
 
 __all__ = [
     "topological_order",
+    "lexicographic_ids",
     "is_dag_after_edge",
     "all_linear_extensions",
     "longest_path_length",
@@ -32,23 +33,42 @@ def topological_order(graph: nx.DiGraph) -> list[Hashable]:
     leave in heap-arrival order, and the nodes themselves are never
     compared.  The result equals
     ``nx.lexicographical_topological_sort(graph, key=str)`` at a fraction
-    of its overhead; it sits on the compiled scheduling hot path.)
+    of its overhead.)
     """
-    pred, succ = graph.pred, graph.succ
-    remaining = {n: len(pred[n]) for n in graph}
-    arrival = count()
-    heap = [(str(n), next(arrival), n) for n, d in remaining.items() if d == 0]
-    heapq.heapify(heap)
-    out: list[Hashable] = []
-    while heap:
-        _, _, node = heapq.heappop(heap)
-        out.append(node)
-        for succ_node in succ[node]:
-            remaining[succ_node] -= 1
-            if remaining[succ_node] == 0:
-                heapq.heappush(heap, (str(succ_node), next(arrival), succ_node))
-    if len(out) != len(remaining):
+    nodes = list(graph)
+    index = {n: i for i, n in enumerate(nodes)}
+    order = lexicographic_ids(
+        [str(n) for n in nodes],
+        [len(graph.pred[n]) for n in nodes],
+        [[index[s] for s in graph.succ[n]] for n in nodes],
+    )
+    if len(order) != len(nodes):
         raise nx.NetworkXUnfeasible("Graph contains a cycle.")
+    return [nodes[i] for i in order]
+
+
+def lexicographic_ids(
+    keys: Sequence[str], pred_count: Sequence[int], succ: Sequence[Sequence[int]]
+) -> list[int]:
+    """:func:`topological_order` over integer ids (``0..n-1``).
+
+    ``keys[i]`` is node ``i``'s tie-break string, ``pred_count[i]`` its
+    in-degree and ``succ[i]`` its successors in graph order.  Shorter
+    than ``n`` when the graph has a cycle.  The compiled scheduling
+    kernel (:mod:`repro.core.compiled`) runs it on its own id lists.
+    """
+    remaining = list(pred_count)
+    arrival = count()
+    heap = [(keys[i], next(arrival), i) for i, d in enumerate(remaining) if d == 0]
+    heapq.heapify(heap)
+    out: list[int] = []
+    while heap:
+        i = heapq.heappop(heap)[2]
+        out.append(i)
+        for j in succ[i]:
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                heapq.heappush(heap, (keys[j], next(arrival), j))
     return out
 
 

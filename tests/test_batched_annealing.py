@@ -1,44 +1,70 @@
-"""Speculative batched annealer: bit-identical to the serial loop.
+"""PISA's one annealer: bit-identical to the frozen serial loop.
 
 The golden property of `repro.pisa.batch.SpeculativeAnnealer` is that
-batching is *invisible*: for any seed, schedule, and scheduler pair, the
-trajectory — every candidate energy, acceptance decision, temperature,
-best energy, and the generator state at every point — is exactly the
-serial `SimulatedAnnealing` run.  These tests pin that across all fig4
-ordered pairs (kernel-backed pairs batch; the rest delegate serially),
-plus the NaN regression for the hoisted finiteness validation and the
-grouped `batch_energy` rework.
+its machinery is *invisible*: for any seed, schedule, and scheduler
+pair, the trajectory — every candidate energy, acceptance decision,
+temperature, best energy, and the generator state at every point — is
+exactly Algorithm 1's serial loop, the frozen `SimulatedAnnealing` run
+with PISA's energy and PERTURB (a fresh copy and a full compile per
+candidate).  These tests pin that across all fig4 ordered pairs (kernel
+pairs speculate and batch; the rest run at depth 1 with half-copied,
+delta-compiled candidates), with the lockstep kernel on and off, plus
+the NaN regression for the hoisted finiteness validation and the grouped
+`batch_energy` rework.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pisa.annealing import (
     AnnealingConfig,
     SimulatedAnnealing,
     require_finite_energy,
 )
+from repro.pisa.app_specific import AppSpecificSpace
 from repro.pisa.batch import SpeculativeAnnealer, batch_energy
+from repro.pisa.constraints import apply_initial_constraints
 from repro.pisa.initial import random_chain_instance
 from repro.pisa.pisa import PISA, PISAConfig
 from repro.schedulers import PAPER_SCHEDULERS
 from repro.utils.rng import as_generator
 
 KERNEL_TRIO = ("HEFT", "MinMin", "MaxMin")
+NON_KERNEL_PAIRS = [
+    (t, b)
+    for t, b in itertools.permutations(PAPER_SCHEDULERS, 2)
+    if not (t in KERNEL_TRIO and b in KERNEL_TRIO)
+]
 
 
-def _run_pair(target, baseline, cfg, seed, batch):
-    pisa = PISA(
+def _pisa(target, baseline, cfg, batch=True, **kwargs):
+    return PISA(
         target,
         baseline,
         config=PISAConfig(annealing=cfg, restarts=1, keep_history=True, batch=batch),
+        **kwargs,
     )
-    return pisa, pisa.run_restart(rng=seed)
+
+
+def _reference_restart(pisa, rng):
+    """``pisa.run_restart`` through the frozen serial loop: PISA's energy
+    and PERTURB, a fresh copy and a full compile per candidate."""
+    gen = as_generator(rng)
+    annealer = SimulatedAnnealing(
+        energy=pisa.energy,
+        perturb=pisa.perturbations.perturb,
+        config=pisa.config.annealing,
+        keep_history=True,
+    )
+    initial = apply_initial_constraints(pisa.initial_factory(gen), pisa.constraints)
+    return annealer.run(initial, rng=gen)
 
 
 def _assert_same_trajectory(serial, batched):
@@ -54,6 +80,21 @@ def _assert_same_trajectory(serial, batched):
             b.accepted,
             b.best_energy,
         )
+        # Plain Python scalars only: the history is JSON-encoded into
+        # runtime checkpoints.
+        assert type(b.accepted) is bool
+        assert type(b.candidate_energy) is float
+
+
+def _assert_same_run(pisa, seed):
+    """The restart and the reference agree on history, best state, and
+    the generator state they leave behind."""
+    gens = [as_generator(seed), as_generator(seed)]
+    reference = _reference_restart(pisa, gens[0])
+    result = pisa.run_restart(rng=gens[1])
+    _assert_same_trajectory(reference, result)
+    assert result.best_state.to_dict() == reference.best_state.to_dict()
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -63,24 +104,20 @@ def _assert_same_trajectory(serial, batched):
 def test_kernel_pairs_trajectory_identical(target, baseline):
     """The lockstep-backed pairs, on a schedule long enough to cross the
     accept-heavy -> reject-heavy transition (serial-mode and kernel-mode
-    rounds both execute, with several window adaptations)."""
+    rounds both execute, with several window adaptations), with the
+    kernel on and off."""
     cfg = AnnealingConfig(alpha=0.95)
     for seed in (0, 1):
-        pisa_s, serial = _run_pair(target, baseline, cfg, seed, batch=False)
-        _, batched = _run_pair(target, baseline, cfg, seed, batch=True)
-        _assert_same_trajectory(serial, batched)
-        # The best instances are value-identical: same energy under the
-        # serial evaluation path.
-        assert pisa_s.energy(batched.best_state) == pisa_s.energy(serial.best_state)
+        for batch in (True, False):
+            _assert_same_run(_pisa(target, baseline, cfg, batch=batch), seed)
 
 
 def test_all_fig4_pairs_trajectory_identical():
     """Every ordered pair of the 15 paper schedulers, short schedule."""
     cfg = AnnealingConfig(alpha=0.75)  # ~16 iterations
     for target, baseline in itertools.permutations(PAPER_SCHEDULERS, 2):
-        _, serial = _run_pair(target, baseline, cfg, 3, batch=False)
-        _, batched = _run_pair(target, baseline, cfg, 3, batch=True)
-        _assert_same_trajectory(serial, batched)
+        pisa = _pisa(target, baseline, cfg)
+        _assert_same_trajectory(_reference_restart(pisa, 3), pisa.run_restart(rng=3))
 
 
 def test_generator_state_identical_after_run():
@@ -88,24 +125,108 @@ def test_generator_state_identical_after_run():
     run would have: the next draws after the run agree."""
     cfg = AnnealingConfig(alpha=0.9)
     for seed in range(3):
-        tails = []
-        for batch in (False, True):
-            pisa = PISA(
-                "HEFT",
-                "MinMin",
-                config=PISAConfig(annealing=cfg, restarts=1, batch=batch),
-            )
+        gen = as_generator(seed)
+        _reference_restart(_pisa("HEFT", "MinMin", cfg), gen)
+        want = gen.random(8).tolist()
+        for batch in (True, False):
             gen = as_generator(seed)
-            pisa.run_restart(rng=gen)
-            tails.append(gen.random(8).tolist())
-        assert tails[0] == tails[1]
+            _pisa("HEFT", "MinMin", cfg, batch=batch).run_restart(rng=gen)
+            assert gen.random(8).tolist() == want
 
 
 def test_metropolis_acceptance_identical():
     cfg = AnnealingConfig(alpha=0.9, acceptance="metropolis")
-    _, serial = _run_pair("MinMin", "MaxMin", cfg, 11, batch=False)
-    _, batched = _run_pair("MinMin", "MaxMin", cfg, 11, batch=True)
-    _assert_same_trajectory(serial, batched)
+    pisa = _pisa("MinMin", "MaxMin", cfg)
+    _assert_same_trajectory(_reference_restart(pisa, 11), pisa.run_restart(rng=11))
+
+
+_APP_SPACE = AppSpecificSpace("srasearch", ccr=0.2, min_nodes=3, max_nodes=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pair=st.sampled_from(NON_KERNEL_PAIRS),
+    app=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.6, 0.75, 0.85]),
+)
+def test_depth_one_pairs_match_the_reference(pair, app, seed, alpha):
+    """Random non-kernel pairs — constrained ones (ETF, FCP, FLB, BIL,
+    GDL freeze network weights) and the Section VII app perturbation set
+    (weights only, trace-scaled ranges) included — run at speculation
+    depth 1 exactly like the frozen serial loop."""
+    cfg = AnnealingConfig(alpha=alpha)
+    kwargs = {}
+    if app:
+        kwargs = dict(
+            perturbations=_APP_SPACE.perturbations(),
+            initial_factory=_APP_SPACE.initial_instance,
+        )
+    _assert_same_run(_pisa(*pair, cfg, **kwargs), seed)
+
+
+def test_robustness_gap_on_a_kernel_pair_scores_its_own_energy():
+    """`RobustnessGapPISA` overrides the energy, so even on a lockstep
+    pair (and with the kernel allowed) every candidate must be scored by
+    the robustness objective, never by the kernel's static ratio."""
+    from repro.core.dynamic import DynamicsSpec, NoiseSpec
+    from repro.pisa.robustness import RobustnessGapPISA
+
+    dynamics = DynamicsSpec(
+        contention="fair", error=NoiseSpec(kind="uniform", low=0.7, high=1.8), samples=3
+    )
+    cfg = AnnealingConfig(max_iterations=300, alpha=0.99)
+    pisa = RobustnessGapPISA(
+        "HEFT",
+        "MinMin",
+        dynamics=dynamics,
+        config=PISAConfig(annealing=cfg, restarts=1, keep_history=True, batch=True),
+    )
+    _assert_same_run(pisa, 3)
+
+
+def test_materialize_copies_only_the_touched_half():
+    """A planned move never changes its parent, and shares exactly the
+    half of the instance it does not touch."""
+    pset = PISA("HEFT", "CPoP").perturbations
+    parent = random_chain_instance(7)
+    snapshot = parent.to_dict()
+    versions = (parent.network.version, parent.task_graph.version)
+    gen = as_generator(7)
+    seen = set()
+    for _ in range(200):
+        move = pset.plan(parent, gen)
+        child = move.materialize(parent)
+        network_move = move.op_name.startswith("change_network")
+        assert (child.network is parent.network) == (not network_move)
+        assert (child.task_graph is parent.task_graph) == network_move
+        seen.add(move.op_name)
+    identity = type(move)("identity").materialize(parent)
+    assert identity.network is not parent.network
+    assert identity.task_graph is not parent.task_graph
+    assert len(seen) == 6
+    assert parent.to_dict() == snapshot
+    assert (parent.network.version, parent.task_graph.version) == versions
+
+
+def test_kernel_pair_history_is_json_serializable():
+    """The speculative replay stores plain bools, so an opted-in history
+    of a lockstep pair survives the checkpoint codec."""
+    from repro.runtime.pairwise import (
+        decode_unit_result,
+        encode_unit_result,
+        run_pairwise_unit,
+        unit_key,
+    )
+    from repro.runtime.units import WorkUnit
+    from repro.utils.rng import spawn
+
+    pisa = _pisa("HEFT", "MinMin", AnnealingConfig(alpha=0.9))
+    unit = WorkUnit(key=unit_key("HEFT", "MinMin", 0), payload=(pisa, 0), rng=spawn(3, 1)[0])
+    result = run_pairwise_unit(unit)
+    assert any(step.accepted for step in result.annealing.history)
+    restored = decode_unit_result(json.loads(json.dumps(encode_unit_result(result))))
+    assert restored.annealing.history == result.annealing.history
 
 
 # --------------------------------------------------------------------- #
@@ -210,18 +331,28 @@ def test_batch_energy_unsupported_pair_identical():
     assert got.tolist() == want.tolist()
 
 
-def test_unsupported_pair_delegates_to_serial():
+def test_unsupported_pair_runs_at_depth_one():
+    """A pair without a lockstep kernel, driven directly: no context is
+    built, every candidate is scored serially, and the run equals the
+    frozen reference."""
+    pisa = _pisa("HEFT", "CPoP", AnnealingConfig(alpha=0.8))
     annealer = SpeculativeAnnealer(
         target="HEFT",
         baseline="CPoP",
-        perturbations=PISA("HEFT", "CPoP").perturbations,
-        energy=PISA("HEFT", "CPoP").energy,
-        config=AnnealingConfig(alpha=0.8),
+        perturbations=pisa.perturbations,
+        energy=pisa.energy,
+        config=pisa.config.annealing,
     )
+    assert not annealer.lockstep
     gen = as_generator(6)
     initial = random_chain_instance(gen)
     result = annealer.run(initial, rng=gen)
-    assert math.isfinite(result.best_energy)
+    gen = as_generator(6)
+    initial = random_chain_instance(gen)
+    reference = SimulatedAnnealing(
+        energy=pisa.energy, perturb=pisa.perturbations.perturb, config=pisa.config.annealing
+    ).run(initial, rng=gen)
+    _assert_same_trajectory(reference, result)
 
 
 # --------------------------------------------------------------------- #

@@ -40,6 +40,7 @@ from repro.core.simulator import (
     mean_exec_time,
 )
 from repro.pisa import PISA, batch_energy, pairwise_comparison
+from repro.pisa.perturbations import Delta
 from tests.equivalence import (
     FIG4_CONFIG,
     FIG4_SCHEDULERS,
@@ -216,6 +217,57 @@ class TestCompiledTables:
         with use_reference_builder():
             reference_entries = schedule_entries("BIL", inst)
         assert compiled_entries == reference_entries
+
+
+@st.composite
+def shuffled_dags(draw) -> ProblemInstance:
+    """DAGs whose insertion order, edge order and labels (mixed types,
+    colliding ``str()`` keys) all disagree with any topological order."""
+    labels = draw(
+        st.lists(
+            st.sampled_from([1, "1", 2, "10", "9", "a", "B", 30, "t", 4.5]),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+    rank = {label: i for i, label in enumerate(labels)}  # acyclic by rank
+    pairs = [(u, v) for u in labels for v in labels if rank[u] < rank[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    tg = TaskGraph()
+    for label in draw(st.permutations(labels)):
+        tg.add_task(label, 1.0)
+    for u, v in edges:
+        tg.add_dependency(u, v, 0.5)
+    return ProblemInstance(Network.from_speeds({"v": 1.0}), tg)
+
+
+class TestStructureTables:
+    """The structure-only artifacts shared by a compilation and its delta
+    clones, against the networkx computations they replace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shuffled_dags())
+    def test_topological_orders_match_networkx(self, inst):
+        import networkx as nx
+
+        compiled = compile_instance(inst)
+        graph = inst.task_graph.graph
+        assert list(compiled.sort_order) == list(nx.topological_sort(graph))
+        assert compiled.topological_order() == inst.task_graph.topological_order()
+        # An unbound delta clone shares (or can rebuild) both orders.
+        clone = compiled.apply_delta(Delta("task_weight", (inst.task_graph.tasks[0],), 0.25))
+        assert clone.sort_order is compiled.sort_order
+        assert clone.topological_order() == inst.task_graph.topological_order()
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(min_tasks=1, max_tasks=6, min_nodes=1, max_nodes=4))
+    def test_id_lists_follow_graph_order(self, inst):
+        compiled = compile_instance(inst)
+        deps = [(compiled.tasks[s], compiled.tasks[d]) for s, d in compiled.dep_ids]
+        links = [(compiled.nodes[a], compiled.nodes[b]) for a, b in compiled.link_ids]
+        assert deps == list(inst.task_graph.dependencies)
+        assert links == list(inst.network.links)
 
 
 class TestCompileCache:

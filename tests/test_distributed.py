@@ -172,6 +172,92 @@ class TestClaimRace:
             assert len(winners) == 1
             assert winners[0].reclaimed
 
+    @staticmethod
+    def _stale_holder(td: str, observers: list[LeaseDir]) -> Lease:
+        """A lease claimed by ``holder`` with a 20 ms TTL, watched past
+        that TTL by every observer (staleness is observer-local)."""
+        holder = LeaseDir(td, ttl=0.02).claim("u", "holder")
+        assert holder is not None
+        for observer in observers:
+            assert observer.claim("u", "probe") is None
+        time.sleep(0.05)
+        return holder
+
+    @staticmethod
+    def _race(calls):
+        barrier = threading.Barrier(len(calls))
+
+        def attempt(call):
+            barrier.wait()
+            return call()
+
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            return list(pool.map(attempt, calls))
+
+    @given(contenders=st.integers(min_value=2, max_value=6))
+    @settings(max_examples=15, deadline=None)
+    def test_concurrent_steals_across_separate_lease_dirs_have_exactly_one_winner(
+        self, contenders
+    ):
+        """Separate ``LeaseDir`` objects — separate processes or hosts,
+        each with its own TTL watch — race for one stale lease."""
+        with tempfile.TemporaryDirectory() as td:
+            dirs = [LeaseDir(td, ttl=60) for _ in range(contenders)]
+            self._stale_holder(td, dirs)
+            results = self._race(
+                [lambda d=d, i=i: d.claim("u", f"w{i}") for i, d in enumerate(dirs)]
+            )
+            winners = [lease for lease in results if lease is not None]
+            assert len(winners) == 1
+            assert winners[0].reclaimed
+            stored = dirs[0].load(dirs[0].lease_path("u"))
+            assert stored.worker == winners[0].worker
+
+    @given(thieves=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=15, deadline=None)
+    def test_renew_racing_steals_keeps_exactly_one_owner(self, thieves):
+        """A late heartbeat racing the thieves: either the renewal lands
+        and no thief wins, or one thief wins and the renewal is refused —
+        never both, and the file names whoever won."""
+        with tempfile.TemporaryDirectory() as td:
+            dirs = [LeaseDir(td, ttl=60) for _ in range(thieves)]
+            holder = self._stale_holder(td, dirs)
+            own = LeaseDir(td, ttl=0.02)
+            results = self._race(
+                [lambda: own.renew(holder)]
+                + [lambda d=d, i=i: d.claim("u", f"w{i}") for i, d in enumerate(dirs)]
+            )
+            renewed, stolen = results[0], [r for r in results[1:] if r is not None]
+            assert (renewed is not None) + len(stolen) == 1
+            stored = own.load(own.lease_path("u"))
+            owner = renewed if renewed is not None else stolen[0]
+            assert (stored.worker, stored.heartbeat) == (owner.worker, owner.heartbeat)
+
+    @given(thieves=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=15, deadline=None)
+    def test_release_racing_steals_never_removes_the_thiefs_lease(self, thieves):
+        """The stale holder's release racing the thieves: exactly one
+        thief ends up holding the unit (by steal, or by a fresh claim
+        after the release), and its lease file survives the release."""
+        with tempfile.TemporaryDirectory() as td:
+            dirs = [LeaseDir(td, ttl=60) for _ in range(thieves)]
+            holder = self._stale_holder(td, dirs)
+            own = LeaseDir(td, ttl=0.02)
+            results = self._race(
+                [lambda: own.release(holder)]
+                + [lambda d=d, i=i: d.claim("u", f"w{i}") for i, d in enumerate(dirs)]
+            )
+            winners = [r for r in results[1:] if r is not None]
+            assert len(winners) <= 1
+            stored = own.load(own.lease_path("u"))
+            if winners:
+                assert stored is not None and stored.worker == winners[0].worker
+            else:
+                # Every thief lost to the release ordering (tried before it
+                # landed): the unit is simply free again.
+                assert stored is None
+            assert not list(Path(td, "leases").glob("*.fence.*"))
+
 
 class TestLeaseLifecycle:
     def test_second_claim_is_refused_until_release(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Network, ProblemInstance, TaskGraph
+from repro.core.compiled import compile_instance
 from repro.pisa.perturbations import (
     MIN_NODE_SPEED,
     AddDependency,
@@ -148,7 +149,7 @@ class TestStructuralOperators:
     def test_remove_dependency_inapplicable_when_empty(self):
         tg = TaskGraph.from_dicts({"a": 0.5}, {})
         inst = ProblemInstance(Network.from_speeds({"u": 1.0}), tg)
-        assert not RemoveDependency().applicable(inst)
+        assert not RemoveDependency().applicable(compile_instance(inst))
 
 
 class TestPerturbationSet:
