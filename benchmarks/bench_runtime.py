@@ -19,19 +19,19 @@ and ``benchmarks/compare.py`` gates against the committed
   while producing bit-identical energies.
 * **Builder hot path** — a greedy batched-EFT scheduling loop through
   the compiled builder vs the same loop through the reference builder.
-* **Coordinator round-trip** — the claim→record→release cycle through
-  the HTTP coordinator (loopback) vs the filesystem lease protocol, in
-  units/second.  Not gated: it contextualizes coordination overhead
+* **Coordinator round-trip** — the claim→record→release cycle of one
+  unit (a batch of one) through the HTTP coordinator (loopback) vs the
+  filesystem lease protocol, in units/second.  Not gated: it contextualizes coordination overhead
   against unit runtimes (PISA units run for seconds; both transports
   sustain hundreds of cycles per second, so coordination is noise).
 * **Coordinator scaling curve** — units/second through the coordinator
   across worker count x claim batch size, on persistent connections,
-  plus the pre-batching protocol (one unit per claim, one TCP
-  connection per request) as the legacy reference point.  Gated: the
-  ``speedup`` scalar — batched throughput over legacy throughput, both
-  at 8 workers — must stay >= 10x, which is the whole point of the
-  batched protocol + persistent connections + group-commit journaling
-  stack.  The full curve lands in ``runtime.json`` for trend tracking.
+  plus one unit per claim (a batch of one) on a fresh TCP connection
+  per request as the legacy reference point.  Gated: the ``speedup``
+  scalar — batched throughput over legacy throughput, both at 8
+  workers — must stay >= 10x, which is the whole point of the
+  multi-unit batches + persistent connections + group-commit
+  journaling stack.  The full curve lands in ``runtime.json`` for trend tracking.
 * **Coordinator restart** — reconstructing coordinator state from a
   ~50k-event journal history: full replay (shard scan + every journal
   event, the pre-snapshot behavior) vs snapshot-seeded restart (newest
@@ -346,7 +346,10 @@ ROUNDTRIP_UNITS = 150
 
 
 def _drain_roundtrips(backend, keys, worker_id: str) -> None:
-    """The measured cycle: claim → record → release, once per unit."""
+    """The measured cycle: claim → record → release, once per unit.
+
+    Each unit is a batch of one: ``/claim-batch`` then ``/record-batch``,
+    which also drops the lease, so the release sends nothing."""
     for key in keys:
         lease = backend.claim(key, worker_id)
         assert lease is not None, f"unit {key} unexpectedly contended"
@@ -418,8 +421,9 @@ def _drain_cell(url: str, keys, workers: int, batch_size: int, persistent: bool)
 
     One backend is shared (connections are per-thread); keys are
     statically sharded so the measurement is pure protocol throughput,
-    not contention resolution.  ``batch_size == 1`` uses the single-unit
-    claim/record/release protocol; larger batches use the batched one.
+    not contention resolution.  ``batch_size == 1`` drives one unit at a
+    time (a batch of one) through claim/record/release; larger batches
+    flush their results with one ``record_batch``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -456,10 +460,10 @@ def test_coordinator_scaling_curve(report_dir, tmp_path):
 
     Every cell drains the same number of trivial units through a fresh
     coordinator.  The batched cells use persistent connections (the
-    shipping configuration); the legacy cell replays the pre-batching
-    protocol — one unit per claim, a fresh TCP connection per request —
-    at 8 workers, and the gated ``speedup`` is best-batched-at-8-workers
-    over legacy.
+    shipping configuration); the legacy cell drains one unit per claim
+    (a batch of one) on a fresh TCP connection per request at 8
+    workers, and the gated ``speedup`` is best-batched-at-8-workers over
+    legacy.
     """
     from repro.runtime import RunCheckpoint
     from repro.runtime.coordinator import running_coordinator

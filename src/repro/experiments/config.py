@@ -27,7 +27,6 @@ __all__ = [
     "pick",
     "pisa_config",
     "instances_per_dataset",
-    "resolve_run_dir",
 ]
 
 T = TypeVar("T")
@@ -68,23 +67,3 @@ def _is_workflow(name: str) -> bool:
 
     return name in list_recipes()
 
-
-def resolve_run_dir(run_dir, checkpoint_dir, caller: str):
-    """Apply the ``checkpoint_dir`` -> ``run_dir`` deprecation shim.
-
-    Every driver names its checkpoint directory ``run_dir`` now; the old
-    ``checkpoint_dir`` spelling warns once per call site and keeps
-    working until removed.
-    """
-    if checkpoint_dir is not None:
-        import warnings
-
-        warnings.warn(
-            f"{caller}(checkpoint_dir=...) is deprecated; use run_dir=... "
-            "(the name every other driver uses)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if run_dir is None:
-            run_dir = checkpoint_dir
-    return run_dir

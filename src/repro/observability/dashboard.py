@@ -179,8 +179,12 @@ def collect_coordinator_frame(url: str, *, retry_timeout: float = 5.0) -> FleetF
     from repro.runtime.backends import HttpWorkBackend
 
     client = HttpWorkBackend(url, retry_timeout=retry_timeout)
-    frame = _frame_from_status(client.status(), source=f"coordinator {url}")
-    families = parse_prometheus_text(client.metrics_text())
+    try:
+        status, metrics_text = client.status(), client.metrics_text()
+    finally:
+        client.close()
+    frame = _frame_from_status(status, source=f"coordinator {url}")
+    families = parse_prometheus_text(metrics_text)
     for labels, value in families.get("coordinator_worker_records_total", {}).items():
         worker = dict(labels).get("worker")
         if worker:

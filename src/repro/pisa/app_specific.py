@@ -173,14 +173,14 @@ def app_specific_pairwise(
     rng: int | np.random.Generator | None = None,
     progress=None,
     jobs: int = 1,
-    checkpoint_dir=None,
+    run_dir=None,
     resume: bool = False,
 ) -> PairwiseResult:
     """The PISA half of one Figs. 10-19 panel: all ordered pairs in-family.
 
     Runs on the work-unit runtime: one unit per (pair, restart), each on
     its own spawned RNG stream, optionally fanned out over ``jobs``
-    worker processes and checkpointed to ``checkpoint_dir`` (see
+    worker processes and checkpointed to ``run_dir`` (see
     :func:`repro.pisa.pisa.pairwise_comparison`).
     """
     from repro.runtime.pairwise import run_pairwise
@@ -194,6 +194,6 @@ def app_specific_pairwise(
         constraints=SearchConstraints(),
         progress=progress,
         jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
+        run_dir=run_dir,
         resume=resume,
     )

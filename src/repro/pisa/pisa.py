@@ -232,7 +232,7 @@ def pairwise_comparison(
     initial_factory: Callable[[np.random.Generator], ProblemInstance] | None = None,
     progress: Callable[[str, str, float], None] | None = None,
     jobs: int = 1,
-    checkpoint_dir=None,
+    run_dir=None,
     resume: bool = False,
 ) -> PairwiseResult:
     """Run PISA for every ordered pair of ``schedulers`` (Fig. 4).
@@ -243,7 +243,7 @@ def pairwise_comparison(
 
     * ``jobs`` fans units out over that many worker processes; for a
       fixed seed the ratio matrix is identical at any ``jobs``.
-    * ``checkpoint_dir`` records completed units to a JSON-lines run
+    * ``run_dir`` records completed units to a JSON-lines run
       directory as they finish; ``resume=True`` skips units already
       recorded there, so an interrupted sweep continues instead of
       restarting (requires the same schedulers/config/seed).
@@ -262,6 +262,6 @@ def pairwise_comparison(
         initial_factory=initial_factory,
         progress=progress,
         jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
+        run_dir=run_dir,
         resume=resume,
     )

@@ -1,14 +1,14 @@
 """Work backends: the claim/renew/release/record/completed seam.
 
 :func:`repro.runtime.distributed.drain_units` coordinates workers
-through five operations — *which units are done*, *claim one*, *keep the
-claim alive*, *record its result*, *let it go*.  This module makes that
-seam an explicit protocol (:class:`WorkBackend`) with two transports:
+through five operations — *which units are done*, *claim a batch*,
+*keep the claim alive*, *record a member's result*, *let the rest go*.
+This module makes that seam an explicit protocol (:class:`WorkBackend`)
+with two transports:
 
 :class:`FilesystemWorkBackend`
     The shared-run-directory protocol of :mod:`repro.runtime.distributed`
-    (``O_EXCL`` lease files, per-worker result shards), repackaged
-    behind the seam — behavior-identical to the pre-protocol drain loop.
+    (``O_EXCL`` lease files, per-worker result shards) behind the seam.
 :class:`HttpWorkBackend`
     A JSON-over-HTTP client for the coordinator served by ``repro sweep
     serve`` (:mod:`repro.runtime.coordinator`).  No shared filesystem is
@@ -16,20 +16,26 @@ seam an explicit protocol (:class:`WorkBackend`) with two transports:
     on its single clock, and stores results; this client only needs to
     reach its port.
 
-The wire protocol is defined here as typed request/reply payloads
-(:class:`ClaimRequest` … :class:`AckReply`) with validating
-``from_dict`` parsers used by *both* sides — the server parses requests
-through them and the client parses replies through them, so a malformed
-message is rejected at the edge instead of corrupting state.
+There is one protocol, the batch one: a single unit is a batch of one.
+The wire is the four ``POST`` endpoints ``/claim-batch``,
+``/renew-batch``, ``/release-batch`` and ``/record-batch``, defined here
+as typed request/reply payloads (:class:`BatchClaimRequest` …
+:class:`BatchRecordReply`) with validating ``from_dict`` parsers used by
+*both* sides — the server parses requests through them and the client
+parses replies through them, so a malformed message is rejected at the
+edge instead of corrupting state.  ``claim``/``renew``/``release``/
+``record`` survive on both backends only as one-line batch-of-one calls
+for callers that drive single units by hand.
 
 Every client request is **idempotent**, which is what makes bounded
 retry safe when a response is lost (a coordinator SIGKILLed between
 applying a request and replying): a re-sent claim by the current holder
-re-grants the same token, a re-sent record of a completed unit is
-acknowledged as a duplicate, a re-sent release of a vanished lease is a
-no-op.  Transient failures (connection refused while the coordinator
+folds its units into a fresh grant, a re-sent record of a completed unit
+is acknowledged as a duplicate, a re-sent release of a vanished lease is
+a no-op.  Transient failures (connection refused while the coordinator
 restarts, 5xx, timeouts) are retried with exponential backoff up to
-``retry_timeout`` seconds; protocol violations (4xx) raise
+``retry_timeout`` seconds; protocol violations (4xx, including an
+endpoint this coordinator does not serve) raise
 :class:`CoordinatorProtocolError` immediately.
 """
 
@@ -54,14 +60,8 @@ __all__ = [
     "HttpWorkBackend",
     "CoordinatorError",
     "CoordinatorProtocolError",
-    "CoordinatorLease",
     "CoordinatorBatchLease",
     "FilesystemBatchLease",
-    "ClaimRequest",
-    "ClaimReply",
-    "LeaseRequest",
-    "RecordRequest",
-    "AckReply",
     "BatchClaimRequest",
     "BatchClaimReply",
     "BatchLeaseRequest",
@@ -102,11 +102,14 @@ class WorkBackend(Protocol):
     """What :func:`~repro.runtime.distributed.drain_units` needs from a
     coordination transport.
 
-    Lease objects are backend-specific and treated as opaque by the
-    drain loop except for three attributes every lease must expose:
-    ``unit`` (the claimed key), ``ttl`` (seconds of heartbeat silence
-    before peers may reclaim), and ``reclaimed`` (whether this claim
-    stole a dead worker's stale lease).
+    Every claim is a batch: one request leases up to N units under one
+    ownership token (a single unit is a batch of one).  Batch lease
+    objects are backend-specific and treated as opaque by the drain loop
+    except for the attributes every lease must expose: ``units`` (the
+    *unfinished* members, shrinking as results land), ``ttl`` (seconds
+    of heartbeat silence before peers may reclaim), ``worker``,
+    ``reclaimed_units`` (members that stole a dead worker's stale lease)
+    and ``unit`` (a log label: the key of a batch of one).
     """
 
     #: Whether the drain loop must re-check completion after a claim.
@@ -119,33 +122,6 @@ class WorkBackend(Protocol):
         """The unit keys recorded so far, by any worker."""
         ...
 
-    def claim(self, unit_key: str, worker: str) -> Any | None:
-        """Try to claim ``unit_key``; ``None`` if it is held or done."""
-        ...
-
-    def renew(self, lease: Any) -> Any | None:
-        """Refresh a claim's heartbeat; ``None`` if ownership was lost."""
-        ...
-
-    def release(self, lease: Any) -> None:
-        """Give a claim up (after recording, or on failure)."""
-        ...
-
-    def record(self, lease: Any, result: Any) -> None:
-        """Durably record the claimed unit's result — always called
-        *before* :meth:`release` (the exactly-once ordering)."""
-        ...
-
-    def cleanup(self, completed: set[str]) -> None:
-        """Sweep leftover claim state of already-completed units."""
-        ...
-
-    # -------------------------------------------------------------- #
-    # Batched claims: one request leases up to N units under one
-    # ownership token, amortizing per-unit round trips.  Batch lease
-    # objects expose ``units`` (the *unfinished* members, shrinking as
-    # results land), ``ttl``, ``worker``, and ``reclaimed_units``.
-    # -------------------------------------------------------------- #
     def claim_batch(self, unit_keys: Any, worker: str) -> Any | None:
         """Try to claim every key in ``unit_keys`` at once; the grant may
         be partial (held/completed units are skipped).  ``None`` if
@@ -158,12 +134,14 @@ class WorkBackend(Protocol):
         ...
 
     def release_batch(self, batch: Any) -> None:
-        """Give up the unfinished remainder of a batch."""
+        """Give up the unfinished remainder of a batch (after recording,
+        or on failure)."""
         ...
 
     def record_in_batch(self, batch: Any, unit_key: str, result: Any) -> None:
-        """Record one finished member and release its claim immediately,
-        so a crash later in the batch re-grants only unfinished units."""
+        """Durably record one finished member, then release its claim —
+        record before release, the exactly-once ordering — so a crash
+        later in the batch re-grants only unfinished units."""
         ...
 
     def release_unit(self, batch: Any, unit_key: str) -> None:
@@ -178,18 +156,44 @@ class WorkBackend(Protocol):
         units use this to amortize the per-record round trip."""
         ...
 
+    def cleanup(self, completed: set[str]) -> None:
+        """Sweep leftover claim state of already-completed units."""
+        ...
+
+
+class _BatchOfOne:
+    """``claim``/``renew``/``release``/``record`` as batches of one.
+
+    Not part of :class:`WorkBackend`: the drain loop and the wire speak
+    batches only.  These names serve callers that drive single units by
+    hand (benchmarks, tracing proxies), on either backend.
+    """
+
+    def claim(self, unit_key: str, worker: str) -> Any | None:
+        return self.claim_batch((unit_key,), worker)
+
+    def renew(self, lease: Any) -> Any | None:
+        return self.renew_batch(lease)
+
+    def release(self, lease: Any) -> None:
+        self.release_batch(lease)
+
+    def record(self, lease: Any, result: Any) -> None:
+        self.record_in_batch(lease, lease.units[0], result)
+
 
 # ---------------------------------------------------------------------- #
-# Filesystem transport (the PR-4 protocol behind the seam)
+# Filesystem transport (the shared-directory protocol behind the seam)
 # ---------------------------------------------------------------------- #
-class FilesystemWorkBackend:
+class FilesystemWorkBackend(_BatchOfOne):
     """The shared-run-directory lease protocol as a :class:`WorkBackend`.
 
     A thin composition of the existing pieces — :class:`~repro.runtime.
     distributed.LeaseDir` for claims and the incremental completed-unit
     tracker + :class:`~repro.runtime.checkpoint.RunCheckpoint` shards for
-    results — so the filesystem path through :func:`drain_units` is
-    *the same code* it was before the seam existed.
+    results.  A batch is a loop over per-unit ``O_EXCL`` leases: the
+    filesystem has no cheaper primitive, so batching buys nothing here
+    beyond seam parity — each member still costs one lease file.
     """
 
     recheck_after_claim = True
@@ -205,26 +209,13 @@ class FilesystemWorkBackend:
     def completed_keys(self) -> set[str]:
         return self._tracker.refresh()
 
-    def claim(self, unit_key: str, worker: str):
-        return self._leases.claim(unit_key, worker)
-
-    def renew(self, lease):
-        return self._leases.renew(lease)
-
-    def release(self, lease) -> None:
-        self._leases.release(lease)
-
-    def record(self, lease, result) -> None:
-        self.checkpoint.record(lease.unit, result, shard=lease.worker)
+    def results(self) -> dict[str, Any]:
+        """Every recorded unit's (decoded) result, merged across shards."""
+        return self.checkpoint.completed()
 
     def cleanup(self, completed: set[str]) -> None:
         self._leases.cleanup(completed)
 
-    # ------------------------------------------------------------------ #
-    # Batched claims: a loop over the per-unit ``O_EXCL`` protocol.  The
-    # filesystem has no cheaper primitive, so batching buys nothing here
-    # beyond seam parity — each member still costs one lease file.
-    # ------------------------------------------------------------------ #
     def claim_batch(self, unit_keys, worker: str) -> "FilesystemBatchLease | None":
         leases = {}
         for key in unit_keys:
@@ -245,7 +236,8 @@ class FilesystemWorkBackend:
         for lease in list(batch.leases.values()):
             if self._leases.renew(lease) is not None:
                 alive += 1
-        return batch if alive else None
+        # A member released (recorded) while this beat ran is not lost.
+        return batch if alive or not batch.leases else None
 
     def release_batch(self, batch) -> None:
         for key in list(batch.leases):
@@ -302,147 +294,6 @@ def _require_str_list(
     if unique and len(set(out)) != len(out):
         raise ValueError(f"{key} entries must be unique, got {out!r}")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ClaimRequest:
-    """``POST /claim`` body: one worker asking for one unit."""
-
-    unit: str
-    worker: str
-
-    def to_dict(self) -> dict:
-        return {"unit": self.unit, "worker": self.worker}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ClaimRequest":
-        data = _payload_dict(data, "claim request")
-        return cls(unit=_require_str(data, "unit"), worker=_require_str(data, "worker"))
-
-
-@dataclass(frozen=True)
-class ClaimReply:
-    """``POST /claim`` reply.
-
-    ``granted`` carries an ownership ``token`` the worker must present on
-    every later renew/release/record for this lease; ``completed`` means
-    the unit is already recorded (nothing to do); a plain denial means a
-    live peer holds it.
-    """
-
-    granted: bool
-    token: str = ""
-    ttl: float = 0.0
-    reclaimed: bool = False
-    completed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "granted": self.granted,
-            "token": self.token,
-            "ttl": self.ttl,
-            "reclaimed": self.reclaimed,
-            "completed": self.completed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ClaimReply":
-        data = _payload_dict(data, "claim reply")
-        granted = _require_bool(data, "granted")
-        token = data.get("token", "")
-        if not isinstance(token, str) or (granted and not token):
-            raise ValueError(f"token must be a string (non-empty when granted), got {token!r}")
-        try:
-            ttl = float(data.get("ttl", 0.0))
-        except (TypeError, ValueError):
-            raise ValueError(f"ttl must be a number, got {data.get('ttl')!r}") from None
-        if granted and ttl <= 0:
-            raise ValueError(f"granted claim must carry a positive ttl, got {ttl}")
-        return cls(
-            granted=granted,
-            token=token,
-            ttl=ttl,
-            reclaimed=_require_bool(data, "reclaimed", default=False),
-            completed=_require_bool(data, "completed", default=False),
-        )
-
-
-@dataclass(frozen=True)
-class LeaseRequest:
-    """``POST /renew`` and ``POST /release`` body: a held lease, proven
-    by its ownership token."""
-
-    unit: str
-    worker: str
-    token: str
-
-    def to_dict(self) -> dict:
-        return {"unit": self.unit, "worker": self.worker, "token": self.token}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "LeaseRequest":
-        data = _payload_dict(data, "lease request")
-        return cls(
-            unit=_require_str(data, "unit"),
-            worker=_require_str(data, "worker"),
-            token=_require_str(data, "token"),
-        )
-
-
-@dataclass(frozen=True)
-class RecordRequest:
-    """``POST /record`` body: a finished unit's (encoded) result."""
-
-    unit: str
-    worker: str
-    token: str
-    result: Any
-
-    def to_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "worker": self.worker,
-            "token": self.token,
-            "result": self.result,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "RecordRequest":
-        data = _payload_dict(data, "record request")
-        if "result" not in data:
-            raise ValueError("record request must carry a result")
-        return cls(
-            unit=_require_str(data, "unit"),
-            worker=_require_str(data, "worker"),
-            token=_require_str(data, "token"),
-            result=data["result"],
-        )
-
-
-@dataclass(frozen=True)
-class AckReply:
-    """Reply to renew/release/record.
-
-    ``ok=False`` with ``stale=True`` means the presented token no longer
-    owns the lease (it expired and was re-granted); ``duplicate=True``
-    on a record ack means the unit was already recorded and this result
-    was dropped (first writer wins, as on the filesystem)."""
-
-    ok: bool
-    stale: bool = False
-    duplicate: bool = False
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "stale": self.stale, "duplicate": self.duplicate}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "AckReply":
-        data = _payload_dict(data, "ack reply")
-        return cls(
-            ok=_require_bool(data, "ok"),
-            stale=_require_bool(data, "stale", default=False),
-            duplicate=_require_bool(data, "duplicate", default=False),
-        )
 
 
 @dataclass(frozen=True)
@@ -616,25 +467,27 @@ class BatchRecordReply:
         )
 
 
-@dataclass(frozen=True)
-class CoordinatorLease:
-    """A claim granted by the coordinator, held client-side.
+class _BatchLabels:
+    """Log label and reclaim flag shared by both batch lease types."""
 
-    The ``token`` is the proof of ownership: the coordinator re-grants
-    an expired lease under a fresh token, so a stalled worker's renewals
-    and releases are rejected instead of clobbering the new holder."""
+    @property
+    def unit(self) -> str:
+        """Log label: the key of a batch of one, else the member count."""
+        units = self.units
+        return units[0] if len(units) == 1 else f"batch[{len(units)} units]"
 
-    unit: str
-    worker: str
-    token: str
-    ttl: float
-    reclaimed: bool = False
+    @property
+    def reclaimed(self) -> bool:
+        return bool(self.reclaimed_units)
 
 
 @dataclass
-class CoordinatorBatchLease:
+class CoordinatorBatchLease(_BatchLabels):
     """A batch of claims granted under one token, held client-side.
 
+    The ``token`` is the proof of ownership: the coordinator re-grants
+    an expired lease under a fresh token, so a stalled worker's renewals
+    and releases are rejected instead of clobbering the new holder.
     ``units`` is the *unfinished* remainder: :meth:`HttpWorkBackend.
     record_in_batch` drops each member as its result lands, so renewals
     and the final release cover only what is still in flight."""
@@ -645,22 +498,13 @@ class CoordinatorBatchLease:
     units: list[str]
     reclaimed_units: frozenset[str] = frozenset()
 
-    @property
-    def unit(self) -> str:
-        """Log label standing in for the single-lease ``unit`` field."""
-        return f"batch[{len(self.units)} units]"
-
-    @property
-    def reclaimed(self) -> bool:
-        return bool(self.reclaimed_units)
-
     def drop(self, unit_key: str) -> None:
         if unit_key in self.units:
             self.units.remove(unit_key)
 
 
 @dataclass
-class FilesystemBatchLease:
+class FilesystemBatchLease(_BatchLabels):
     """A batch of per-unit ``O_EXCL`` leases treated as one claim."""
 
     worker: str
@@ -671,14 +515,6 @@ class FilesystemBatchLease:
     @property
     def units(self) -> list[str]:
         return list(self.leases)
-
-    @property
-    def unit(self) -> str:
-        return f"batch[{len(self.leases)} units]"
-
-    @property
-    def reclaimed(self) -> bool:
-        return bool(self.reclaimed_units)
 
 
 # ---------------------------------------------------------------------- #
@@ -696,7 +532,7 @@ class _TransientError(Exception):
         self.retry_now = retry_now
 
 
-class HttpWorkBackend:
+class HttpWorkBackend(_BatchOfOne):
     """A :class:`WorkBackend` speaking JSON to a ``repro sweep serve``
     coordinator — multi-host draining with no shared filesystem.
 
@@ -714,7 +550,7 @@ class HttpWorkBackend:
     url:
         The coordinator's base URL (``http://host:port``).
     encode:
-        Unit-result encoder applied before ``POST /record`` (the same
+        Unit-result encoder applied before ``POST /record-batch`` (the same
         codec a :class:`RunCheckpoint` would hold); ``None`` records
         results as-is (they must be JSON-serializable).
     retry_timeout:
@@ -731,9 +567,10 @@ class HttpWorkBackend:
         journal, so in-flight batches keep renewing and recording
         against the new primary without re-claiming.
     persistent:
-        ``False`` closes the connection after every round trip — the
-        pre-batching wire behavior, kept for benchmark baselines and as
-        an escape hatch for middleboxes that mishandle keep-alive.
+        ``False`` closes the connection after every round trip — a
+        fresh TCP connection per request, kept for the benchmark
+        baseline and as an escape hatch for middleboxes that mishandle
+        keep-alive.
     """
 
     recheck_after_claim = False
@@ -893,46 +730,9 @@ class HttpWorkBackend:
             )
         return set(keys)
 
-    def claim(self, unit_key: str, worker: str) -> CoordinatorLease | None:
-        payload = ClaimRequest(unit=unit_key, worker=worker).to_dict()
-        reply = ClaimReply.from_dict(self._request("/claim", payload))
-        if not reply.granted:
-            return None
-        return CoordinatorLease(
-            unit=unit_key,
-            worker=worker,
-            token=reply.token,
-            ttl=reply.ttl,
-            reclaimed=reply.reclaimed,
-        )
-
-    def renew(self, lease: CoordinatorLease) -> CoordinatorLease | None:
-        payload = LeaseRequest(unit=lease.unit, worker=lease.worker, token=lease.token)
-        ack = AckReply.from_dict(self._request("/renew", payload.to_dict()))
-        return lease if ack.ok else None
-
-    def release(self, lease: CoordinatorLease) -> None:
-        payload = LeaseRequest(unit=lease.unit, worker=lease.worker, token=lease.token)
-        self._request("/release", payload.to_dict())  # stale release: benign no-op
-
-    def record(self, lease: CoordinatorLease, result: Any) -> None:
-        encoded = result if self._encode is None else self._encode(result)
-        payload = RecordRequest(
-            unit=lease.unit, worker=lease.worker, token=lease.token, result=encoded
-        )
-        ack = AckReply.from_dict(self._request("/record", payload.to_dict()))
-        if not ack.ok:
-            raise CoordinatorProtocolError(
-                f"coordinator refused to record unit {lease.unit!r} "
-                f"(stale={ack.stale})"
-            )
-
     def cleanup(self, completed: set[str]) -> None:
         """No-op: the coordinator sweeps its own lease table."""
 
-    # ------------------------------------------------------------------ #
-    # Batched claims: one round trip per batch instead of per unit
-    # ------------------------------------------------------------------ #
     def claim_batch(self, unit_keys, worker: str) -> CoordinatorBatchLease | None:
         payload = BatchClaimRequest(units=tuple(unit_keys), worker=worker).to_dict()
         reply = BatchClaimReply.from_dict(self._request("/claim-batch", payload))
@@ -952,7 +752,8 @@ class HttpWorkBackend:
             return batch  # everything recorded; nothing left to keep alive
         payload = BatchLeaseRequest(units=units, worker=batch.worker, token=batch.token)
         ack = BatchAckReply.from_dict(self._request("/renew-batch", payload.to_dict()))
-        return batch if ack.ok else None
+        # A member recorded while this beat was in flight is not lost.
+        return batch if ack.ok or not batch.units else None
 
     def release_batch(self, batch: CoordinatorBatchLease) -> None:
         units = tuple(batch.units)
@@ -962,11 +763,7 @@ class HttpWorkBackend:
         self._request("/release-batch", payload.to_dict())  # stale members: benign
 
     def record_in_batch(self, batch: CoordinatorBatchLease, unit_key: str, result) -> None:
-        lease = CoordinatorLease(
-            unit=unit_key, worker=batch.worker, token=batch.token, ttl=batch.ttl
-        )
-        self.record(lease, result)  # the coordinator drops the member's lease
-        batch.drop(unit_key)
+        self.record_batch(batch, {unit_key: result})  # the coordinator drops its lease
 
     def record_batch(self, batch: CoordinatorBatchLease, results) -> None:
         units = tuple(results)

@@ -51,6 +51,7 @@ import threading
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -480,48 +481,56 @@ class LeaseDir:
         return removed
 
 
+def _close_backend(backend: Any) -> None:
+    close = getattr(backend, "close", None)
+    if close is not None:
+        close()  # the calling thread's keep-alive connection
+
+
 @contextlib.contextmanager
-def _renewing(backend, lease, interval: float, renew=None):
-    """Renew ``lease`` on ``backend`` every ``interval`` seconds while the
-    body runs.  ``backend`` is any :class:`~repro.runtime.backends.
-    WorkBackend`; transient errors (filesystem hiccups, a coordinator
-    restarting) are retried on the next beat.  ``renew`` overrides the
-    renewal callable (``backend.renew_batch`` for batch leases, whose
-    one round trip covers the batch's whole unfinished remainder)."""
+def _renewing(backend, batch, interval: float):
+    """Renew ``batch`` on ``backend`` every ``interval`` seconds while the
+    body runs — one ``renew_batch`` round trip covers the batch's whole
+    unfinished remainder.  ``backend`` is any :class:`~repro.runtime.
+    backends.WorkBackend`; transient errors (filesystem hiccups, a
+    coordinator restarting) are retried on the next beat.  On exit the
+    heartbeat thread closes its own connection, if the backend has one."""
     stop = threading.Event()
-    renew_fn = backend.renew if renew is None else renew
 
     def _beat() -> None:
-        current = lease
-        while not stop.wait(interval):
-            try:
-                renewed = renew_fn(current)
-            except OSError:
-                continue  # transient fs/network hiccup; retry next beat
-            except Exception as exc:  # noqa: BLE001 - the beat must survive
-                # e.g. a protocol error from a version-skewed coordinator
-                # or an intermediary returning garbage: losing the thread
-                # here would silently stop renewals and hand the unit to a
-                # peer; keep beating — if the condition persists the lease
-                # expires anyway, which is the same worst case, loudly.
-                logger.warning(
-                    "heartbeat renewal for unit %r failed (%s); retrying next beat",
-                    lease.unit,
-                    exc,
-                )
-                continue
-            if renewed is None:
-                logger.warning(
-                    "lease on unit %r was reclaimed from worker %s while it "
-                    "was still running (stalled past its TTL?); finishing "
-                    "anyway — the duplicate result is deduplicated on merge",
-                    lease.unit,
-                    lease.worker,
-                )
-                return
-            current = renewed
+        current = batch
+        try:
+            while not stop.wait(interval):
+                try:
+                    renewed = backend.renew_batch(current)
+                except OSError:
+                    continue  # transient fs/network hiccup; retry next beat
+                except Exception as exc:  # noqa: BLE001 - the beat must survive
+                    # e.g. a protocol error from a version-skewed coordinator
+                    # or an intermediary returning garbage: losing the thread
+                    # here would silently stop renewals and hand the unit to a
+                    # peer; keep beating — if the condition persists the lease
+                    # expires anyway, which is the same worst case, loudly.
+                    logger.warning(
+                        "heartbeat renewal for unit %r failed (%s); retrying next beat",
+                        batch.unit,
+                        exc,
+                    )
+                    continue
+                if renewed is None:
+                    logger.warning(
+                        "lease on unit %r was reclaimed from worker %s while it "
+                        "was still running (stalled past its TTL?); finishing "
+                        "anyway — the duplicate result is deduplicated on merge",
+                        batch.unit,
+                        batch.worker,
+                    )
+                    return
+                current = renewed
+        finally:
+            _close_backend(backend)
 
-    thread = threading.Thread(target=_beat, daemon=True, name=f"lease-renew-{lease.unit}")
+    thread = threading.Thread(target=_beat, daemon=True, name=f"lease-renew-{batch.unit}")
     thread.start()
     try:
         yield
@@ -606,8 +615,9 @@ def drain_units(
 ) -> WorkerStats:
     """Drain ``units`` through a work backend as one worker.
 
-    The loop is backend-agnostic: claim a unit, execute it with
-    ``worker``, record the result, release the claim — against any
+    The loop is backend-agnostic: claim a batch of units, execute each
+    with ``worker``, record its result (which releases its claim), and
+    release whatever is left — against any
     :class:`~repro.runtime.backends.WorkBackend`.  The default backend is
     the filesystem protocol over ``checkpoint``'s run directory (lease
     files + per-worker shards); pass ``backend=`` (e.g. an
@@ -641,12 +651,13 @@ def drain_units(
     on_unit:
         Callback invoked with each unit key this worker finished.
     claim_batch:
-        Units to lease per claim request (default 1: the per-unit
-        protocol, byte-for-byte the pre-batching behavior).  Larger
-        batches amortize claim/release round trips — the big win on an
-        HTTP backend — while results are still recorded (and members
-        released) one by one, so a worker that dies mid-batch leaks
-        only the *unfinished* remainder to TTL expiry.
+        Units to lease per claim request (default 1: a batch of one).
+        Every size runs the same loop; larger batches amortize the
+        claim round trip — the big win on an HTTP backend — while
+        results are still recorded (and members released) one by one,
+        so a worker that dies mid-batch leaks only the *unfinished*
+        remainder to TTL expiry.  Telemetry spans are flagged
+        ``batched`` only for sizes above one.
     telemetry_dir:
         Where this worker's ``telemetry-<worker>.jsonl`` trace shard
         goes.  Defaults to the run directory for the filesystem backend
@@ -771,108 +782,63 @@ def drain_units(
                 backend.cleanup(done)
                 return stats
             progressed = False
-            if batch_size > 1:
-                for start in range(0, len(pending), batch_size):
-                    chunk = pending[start : start + batch_size]
-                    claim_t0 = time.perf_counter()
-                    batch = backend.claim_batch(chunk, wid)
-                    claim_s = time.perf_counter() - claim_t0
-                    if batch is None:
-                        continue
-                    progressed = True
-                    stats.reclaimed += len(batch.reclaimed_units)
-                    m_reclaimed.inc(len(batch.reclaimed_units))
-                    # One claim round trip covers the batch; spans amortize
-                    # its cost evenly across the granted members.
-                    claim_share = claim_s / max(len(batch.units), 1)
-                    reclaimed_units = set(batch.reclaimed_units)
-                    try:
-                        with _renewing(
-                            backend, batch, _beat_for(batch), renew=backend.renew_batch
-                        ):
-                            for key in list(batch.units):
-                                # Same post-claim recheck as the per-unit path
-                                # below, per member.
-                                if backend.recheck_after_claim and key in backend.completed_keys():
-                                    backend.release_unit(batch, key)
-                                    stats.skipped += 1
-                                    m_skipped.inc()
-                                    continue
-                                t0 = time.perf_counter()
-                                result = _execute(key)
-                                execute_s = time.perf_counter() - t0
-                                # Record-and-release member by member: a crash
-                                # from here on costs peers only the *unfinished*
-                                # remainder after TTL expiry.
-                                t0 = time.perf_counter()
-                                backend.record_in_batch(batch, key, result)
-                                record_s = time.perf_counter() - t0
-                                _finished(key)
-                                if telemetry is not None:
-                                    telemetry.span(
-                                        key,
-                                        claim_s=claim_share,
-                                        execute_s=execute_s,
-                                        record_s=record_s,
-                                        release_s=0.0,  # released with the batch
-                                        reclaimed=key in reclaimed_units,
-                                        batched=True,
-                                    )
-                    finally:
-                        # Success path: every member was recorded and released,
-                        # so this releases nothing.  Failure path: hands the
-                        # unfinished remainder back to peers immediately.
-                        backend.release_batch(batch)
-            else:
-                for key in pending:
-                    claim_t0 = time.perf_counter()
-                    lease = backend.claim(key, wid)
-                    if lease is None:
-                        continue
-                    claim_s = time.perf_counter() - claim_t0
-                    progressed = True
-                    if lease.reclaimed:
-                        stats.reclaimed += 1
-                        m_reclaimed.inc()
-                    # Results are recorded *before* leases are released, so a
-                    # post-claim recheck sees everything any peer finished: a dead
-                    # worker that recorded then crashed before releasing, or a live
-                    # one that completed this unit after this pass listed it as
-                    # pending.  Never execute a completed unit twice.  (A
-                    # coordinator backend refuses the claim atomically instead, so
-                    # the recheck round-trip is skipped there.)
-                    if backend.recheck_after_claim and key in backend.completed_keys():
-                        backend.release(lease)
-                        stats.skipped += 1
-                        m_skipped.inc()
-                        continue
-                    execute_s = record_s = release_s = 0.0
-                    try:
-                        t0 = time.perf_counter()
-                        with _renewing(backend, lease, _beat_for(lease)):
+            for start in range(0, len(pending), batch_size):
+                chunk = pending[start : start + batch_size]
+                claim_t0 = time.perf_counter()
+                batch = backend.claim_batch(chunk, wid)
+                claim_s = time.perf_counter() - claim_t0
+                if batch is None:
+                    continue
+                progressed = True
+                stats.reclaimed += len(batch.reclaimed_units)
+                m_reclaimed.inc(len(batch.reclaimed_units))
+                # One claim round trip covers the batch; spans amortize
+                # its cost evenly across the granted members.
+                claim_share = claim_s / max(len(batch.units), 1)
+                reclaimed_units = set(batch.reclaimed_units)
+                try:
+                    with _renewing(backend, batch, _beat_for(batch)):
+                        for key in list(batch.units):
+                            # Results are recorded *before* leases are
+                            # released, so a post-claim recheck sees
+                            # everything any peer finished: a dead worker
+                            # that recorded then crashed before releasing,
+                            # or a live one that completed this unit after
+                            # this pass listed it as pending.  Never execute
+                            # a completed unit twice.  (A coordinator backend
+                            # refuses the claim atomically instead, so the
+                            # recheck round trip is skipped there.)
+                            if backend.recheck_after_claim and key in backend.completed_keys():
+                                backend.release_unit(batch, key)
+                                stats.skipped += 1
+                                m_skipped.inc()
+                                continue
+                            t0 = time.perf_counter()
                             result = _execute(key)
-                        execute_s = time.perf_counter() - t0
-                        t0 = time.perf_counter()
-                        backend.record(lease, result)
-                        record_s = time.perf_counter() - t0
-                    finally:
-                        # Success path: record-before-release (the correctness
-                        # ordering).  Failure path: nothing was recorded, so
-                        # releasing immediately lets peers re-claim the unit now
-                        # instead of waiting out this worker's full TTL.
-                        t0 = time.perf_counter()
-                        backend.release(lease)
-                        release_s = time.perf_counter() - t0
-                    _finished(key)
-                    if telemetry is not None:
-                        telemetry.span(
-                            key,
-                            claim_s=claim_s,
-                            execute_s=execute_s,
-                            record_s=record_s,
-                            release_s=release_s,
-                            reclaimed=lease.reclaimed,
-                        )
+                            execute_s = time.perf_counter() - t0
+                            # Record-and-release member by member: a crash
+                            # from here on costs peers only the *unfinished*
+                            # remainder after TTL expiry.
+                            t0 = time.perf_counter()
+                            backend.record_in_batch(batch, key, result)
+                            record_s = time.perf_counter() - t0
+                            _finished(key)
+                            if telemetry is not None:
+                                telemetry.span(
+                                    key,
+                                    claim_s=claim_share,
+                                    execute_s=execute_s,
+                                    record_s=record_s,
+                                    release_s=0.0,  # released by its record
+                                    reclaimed=key in reclaimed_units,
+                                    batched=batch_size > 1,
+                                )
+                finally:
+                    # Success path: every member was recorded and released,
+                    # so this releases nothing.  Failure path: hands the
+                    # unfinished remainder back to peers immediately
+                    # instead of after this worker's full TTL.
+                    backend.release_batch(batch)
             if not progressed:
                 if not wait:
                     return stats
@@ -882,27 +848,84 @@ def drain_units(
 
 
 # ---------------------------------------------------------------------- #
-# Multi-process distributed execution (the `backend="distributed"` path)
+# Multi-process execution over a backend (the `backend="distributed"` and
+# `backend="coordinator"` paths)
 # ---------------------------------------------------------------------- #
 def _drain_child(
-    checkpoint: RunCheckpoint,
+    make_backend: Callable[[], Any],
     units: list[WorkUnit],
     worker: Callable[[WorkUnit], Any],
-    lease_ttl: float | None,
-    heartbeat_interval: float | None,
-    poll_interval: float | None,
-    claim_batch: int = 1,
+    drain_kwargs: dict,
 ) -> WorkerStats:
-    """Module-level child entry (crosses process boundaries by pickle)."""
-    return drain_units(
-        units,
-        worker,
-        checkpoint,
-        lease_ttl=lease_ttl,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        claim_batch=claim_batch,
-    )
+    """Module-level child entry (crosses process boundaries by pickle):
+    build this process's own backend and drain through it."""
+    backend = make_backend()
+    try:
+        return drain_units(units, worker, backend=backend, **drain_kwargs)
+    finally:
+        _close_backend(backend)
+
+
+def _drain_with_siblings(
+    units: list[WorkUnit],
+    worker: Callable[[WorkUnit], Any],
+    make_backend: Callable[[], Any],
+    drain_kwargs: dict,
+    *,
+    jobs: int,
+    worker_id: str | None,
+    where: str,
+    decode: Callable[[Any], Any] | None = None,
+    on_result: Callable[[WorkUnit, Any, bool], None] | None = None,
+) -> dict[str, Any]:
+    """Drain ``units`` as one worker plus ``jobs - 1`` sibling processes,
+    each draining through its own ``make_backend()``; return
+    ``{key: result}`` from the backend's merged ``results()``.
+
+    ``on_result`` follows :func:`repro.runtime.executor.run_units`
+    semantics, invoked once per unit after the run completes (in unit
+    order) with ``cached=True`` for units this process did not execute.
+    """
+    from repro.runtime.executor import _ensure_child_importable, _mp_context
+
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    backend = make_backend()
+    try:
+        with contextlib.ExitStack() as stack:
+            futures = []
+            if jobs > 1 and len(units) > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
+                _ensure_child_importable()
+                siblings = min(jobs, len(units)) - 1
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=siblings, mp_context=_mp_context())
+                )
+                futures = [
+                    pool.submit(_drain_child, make_backend, units, worker, drain_kwargs)
+                    for _ in range(siblings)
+                ]
+            stats = drain_units(
+                units, worker, backend=backend, worker_id=worker_id, **drain_kwargs
+            )
+            for future in futures:
+                future.result()  # surface child crashes
+        raw = backend.results()
+    finally:
+        _close_backend(backend)
+    missing = [u.key for u in units if u.key not in raw]
+    if missing:
+        raise RuntimeError(
+            f"{where} ended with {len(missing)} unit(s) unrecorded (first: "
+            f"{missing[0]!r}); a worker may have failed without surfacing its error"
+        )
+    decode = decode if decode is not None else (lambda value: value)
+    results = {u.key: decode(raw[u.key]) for u in units}
+    if on_result is not None:
+        for unit in units:
+            on_result(unit, results[unit.key], unit.key not in stats.executed_keys)
+    return results
 
 
 def run_units_distributed(
@@ -930,96 +953,22 @@ def run_units_distributed(
     semantics, invoked once per unit after the run completes (in unit
     order) with ``cached=True`` for units this process did not execute.
     """
-    from repro.runtime.executor import _ensure_child_importable, _mp_context
+    from repro.runtime.backends import FilesystemWorkBackend
 
-    units = list(units)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    stats: WorkerStats
-    if jobs > 1 and len(units) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        _ensure_child_importable()
-        siblings = min(jobs, len(units)) - 1
-        with ProcessPoolExecutor(max_workers=max(siblings, 1), mp_context=_mp_context()) as pool:
-            futures = [
-                pool.submit(
-                    _drain_child,
-                    checkpoint,
-                    units,
-                    worker,
-                    lease_ttl,
-                    heartbeat_interval,
-                    poll_interval,
-                    claim_batch,
-                )
-                for _ in range(siblings)
-            ]
-            stats = drain_units(
-                units,
-                worker,
-                checkpoint,
-                worker_id=worker_id,
-                lease_ttl=lease_ttl,
-                heartbeat_interval=heartbeat_interval,
-                poll_interval=poll_interval,
-                claim_batch=claim_batch,
-            )
-            for future in futures:
-                future.result()  # surface child crashes
-    else:
-        stats = drain_units(
-            units,
-            worker,
-            checkpoint,
-            worker_id=worker_id,
-            lease_ttl=lease_ttl,
+    return _drain_with_siblings(
+        list(units),
+        worker,
+        partial(FilesystemWorkBackend, checkpoint, ttl=lease_ttl),
+        dict(
             heartbeat_interval=heartbeat_interval,
             poll_interval=poll_interval,
             claim_batch=claim_batch,
-        )
-
-    merged = checkpoint.completed()
-    missing = [u.key for u in units if u.key not in merged]
-    if missing:
-        raise RuntimeError(
-            f"distributed run at {checkpoint.run_dir} ended with "
-            f"{len(missing)} unit(s) unrecorded (first: {missing[0]!r}); "
-            "a worker may have failed without surfacing its error"
-        )
-    results = {u.key: merged[u.key] for u in units}
-    if on_result is not None:
-        for unit in units:
-            on_result(unit, results[unit.key], unit.key not in stats.executed_keys)
-    return results
-
-
-# ---------------------------------------------------------------------- #
-# Coordinator-backed execution (the `backend="coordinator"` path)
-# ---------------------------------------------------------------------- #
-def _drain_coordinator_child(
-    url: str,
-    units: list[WorkUnit],
-    worker: Callable[[WorkUnit], Any],
-    encode: Callable[[Any], Any] | None,
-    heartbeat_interval: float | None,
-    poll_interval: float | None,
-    retry_timeout: float | None,
-    claim_batch: int = 1,
-    telemetry_dir: str | None = None,
-) -> WorkerStats:
-    """Module-level child entry (crosses process boundaries by pickle)."""
-    from repro.runtime.backends import HttpWorkBackend
-
-    backend = HttpWorkBackend(url, encode=encode, retry_timeout=retry_timeout)
-    return drain_units(
-        units,
-        worker,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        claim_batch=claim_batch,
-        telemetry_dir=telemetry_dir,
+            telemetry_dir=checkpoint.run_dir,
+        ),
+        jobs=jobs,
+        worker_id=worker_id,
+        where=f"distributed run at {checkpoint.run_dir}",
+        on_result=on_result,
     )
 
 
@@ -1054,72 +1003,23 @@ def run_units_coordinator(
     semantics, invoked once per unit after the run completes.
     """
     from repro.runtime.backends import HttpWorkBackend
-    from repro.runtime.executor import _ensure_child_importable, _mp_context
 
-    units = list(units)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    backend = HttpWorkBackend(url, encode=encode, retry_timeout=retry_timeout)
-    stats: WorkerStats
-    if jobs > 1 and len(units) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        _ensure_child_importable()
-        siblings = min(jobs, len(units)) - 1
-        with ProcessPoolExecutor(max_workers=max(siblings, 1), mp_context=_mp_context()) as pool:
-            futures = [
-                pool.submit(
-                    _drain_coordinator_child,
-                    url,
-                    units,
-                    worker,
-                    encode,
-                    heartbeat_interval,
-                    poll_interval,
-                    retry_timeout,
-                    claim_batch,
-                    None if telemetry_dir is None else str(telemetry_dir),
-                )
-                for _ in range(siblings)
-            ]
-            stats = drain_units(
-                units,
-                worker,
-                backend=backend,
-                worker_id=worker_id,
-                heartbeat_interval=heartbeat_interval,
-                poll_interval=poll_interval,
-                claim_batch=claim_batch,
-                telemetry_dir=telemetry_dir,
-            )
-            for future in futures:
-                future.result()  # surface child crashes
-    else:
-        stats = drain_units(
-            units,
-            worker,
-            backend=backend,
-            worker_id=worker_id,
+    return _drain_with_siblings(
+        list(units),
+        worker,
+        partial(HttpWorkBackend, url, encode=encode, retry_timeout=retry_timeout),
+        dict(
             heartbeat_interval=heartbeat_interval,
             poll_interval=poll_interval,
             claim_batch=claim_batch,
-            telemetry_dir=telemetry_dir,
-        )
-
-    raw = backend.results()
-    missing = [u.key for u in units if u.key not in raw]
-    if missing:
-        raise RuntimeError(
-            f"coordinator run at {url} ended with {len(missing)} unit(s) "
-            f"unrecorded (first: {missing[0]!r}); a worker may have failed "
-            "without surfacing its error"
-        )
-    decode = decode if decode is not None else (lambda value: value)
-    results = {u.key: decode(raw[u.key]) for u in units}
-    if on_result is not None:
-        for unit in units:
-            on_result(unit, results[unit.key], unit.key not in stats.executed_keys)
-    return results
+            telemetry_dir=None if telemetry_dir is None else str(telemetry_dir),
+        ),
+        jobs=jobs,
+        worker_id=worker_id,
+        where=f"coordinator run at {url}",
+        decode=decode,
+        on_result=on_result,
+    )
 
 
 # ---------------------------------------------------------------------- #

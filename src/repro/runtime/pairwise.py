@@ -228,7 +228,7 @@ def run_pairwise(
     constraints: SearchConstraints | None = None,
     progress: Callable[[str, str, float], None] | None = None,
     jobs: int = 1,
-    checkpoint_dir: str | Path | None = None,
+    run_dir: str | Path | None = None,
     resume: bool = False,
 ) -> PairwiseResult:
     """PISA over every ordered pair of ``schedulers`` as a unit sweep.
@@ -261,9 +261,9 @@ def run_pairwise(
             )
 
     checkpoint = None
-    if checkpoint_dir is not None:
+    if run_dir is not None:
         checkpoint = RunCheckpoint(
-            checkpoint_dir, encode=encode_unit_result, decode=decode_unit_result
+            run_dir, encode=encode_unit_result, decode=decode_unit_result
         )
         manifest = {
             "kind": "pairwise",

@@ -513,7 +513,10 @@ def run_sweep(
             )
         plan = plan_sweep(spec)
         client = HttpWorkBackend(coordinator, retry_timeout=retry_timeout)
-        stored = client.manifest()
+        try:
+            stored = client.manifest()
+        finally:
+            client.close()
         if stored != plan.manifest():
             raise CheckpointError(
                 f"coordinator at {coordinator} serves a different sweep "
@@ -775,19 +778,25 @@ def work_coordinator(
     from repro.runtime.backends import HttpWorkBackend
 
     client = HttpWorkBackend(url, retry_timeout=retry_timeout)
-    plan = plan_from_manifest(client.manifest(), where=f"coordinator at {url}")
+    try:
+        plan = plan_from_manifest(client.manifest(), where=f"coordinator at {url}")
+    finally:
+        client.close()
     backend = HttpWorkBackend(url, encode=plan.encode, retry_timeout=retry_timeout)
-    stats = drain_units(
-        plan.units,
-        plan.worker,
-        backend=backend,
-        worker_id=worker_id,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        wait=wait,
-        on_unit=on_unit,
-        claim_batch=claim_batch,
-    )
+    try:
+        stats = drain_units(
+            plan.units,
+            plan.worker,
+            backend=backend,
+            worker_id=worker_id,
+            heartbeat_interval=heartbeat_interval,
+            poll_interval=poll_interval,
+            wait=wait,
+            on_unit=on_unit,
+            claim_batch=claim_batch,
+        )
+    finally:
+        backend.close()
     return plan, stats
 
 

@@ -5,8 +5,8 @@ What makes no-shared-filesystem draining trustworthy:
 * **wire robustness** — every request/reply payload round-trips
   losslessly through JSON, and malformed payloads are rejected at the
   edge by the validating parsers both sides share;
-* **mutual exclusion** — however many workers race ``POST /claim`` for
-  one unit, exactly one is granted (the lease table mutates under one
+* **mutual exclusion** — however many workers race ``POST /claim-batch``
+  for one unit, exactly one is granted (the lease table mutates under one
   lock on one coordinator);
 * **token fencing** — an expired lease is re-granted under a fresh
   token, and the superseded holder's renew/release are rejected as
@@ -40,21 +40,17 @@ from hypothesis import strategies as st
 from repro.pisa import AnnealingConfig, PISAConfig
 from repro.runtime import RunCheckpoint
 from repro.runtime.backends import (
-    AckReply,
     BatchAckReply,
     BatchClaimReply,
     BatchClaimRequest,
     BatchLeaseRequest,
     BatchRecordReply,
     BatchRecordRequest,
-    ClaimReply,
-    ClaimRequest,
     CoordinatorError,
+    CoordinatorProtocolError,
     HttpWorkBackend,
-    LeaseRequest,
-    RecordRequest,
 )
-from repro.runtime.checkpoint import CheckpointError
+from repro.runtime.checkpoint import CheckpointError, journal_segment_path
 from repro.runtime.coordinator import (
     JOURNAL_NAME,
     Coordinator,
@@ -107,6 +103,31 @@ def make_coordinator(run_dir: Path, units: list[str], ttl: float = 30.0) -> Coor
     return Coordinator(run_dir, ttl=ttl, unit_keys=units)
 
 
+# A single unit is a batch of one: the coordinator operations on one key.
+def claim1(coordinator: Coordinator, unit: str, worker: str) -> BatchClaimReply:
+    return coordinator.claim_batch(BatchClaimRequest(units=(unit,), worker=worker))
+
+
+def renew1(coordinator: Coordinator, unit: str, worker: str, token: str) -> BatchAckReply:
+    return coordinator.renew_batch(
+        BatchLeaseRequest(units=(unit,), worker=worker, token=token)
+    )
+
+
+def release1(coordinator: Coordinator, unit: str, worker: str, token: str) -> BatchAckReply:
+    return coordinator.release_batch(
+        BatchLeaseRequest(units=(unit,), worker=worker, token=token)
+    )
+
+
+def record1(
+    coordinator: Coordinator, unit: str, worker: str, token: str, result
+) -> BatchRecordReply:
+    return coordinator.record_batch(
+        BatchRecordRequest(units=(unit,), results=(result,), worker=worker, token=token)
+    )
+
+
 def _ratios(result):
     return {pair: res.restart_ratios for pair, res in result.pairwise.results.items()}
 
@@ -131,42 +152,62 @@ _json_values = st.recursive(
 
 
 class TestWirePayloads:
+    # A single unit travels as a batch of one.
     @given(unit=_ids, worker=_ids)
     def test_claim_request_round_trip(self, unit, worker):
-        message = ClaimRequest(unit=unit, worker=worker)
-        assert ClaimRequest.from_dict(json.loads(json.dumps(message.to_dict()))) == message
+        message = BatchClaimRequest(units=(unit,), worker=worker)
+        assert (
+            BatchClaimRequest.from_dict(json.loads(json.dumps(message.to_dict())))
+            == message
+        )
 
     @given(unit=_ids, worker=_ids, token=_ids)
     def test_lease_request_round_trip(self, unit, worker, token):
-        message = LeaseRequest(unit=unit, worker=worker, token=token)
-        assert LeaseRequest.from_dict(json.loads(json.dumps(message.to_dict()))) == message
+        message = BatchLeaseRequest(units=(unit,), worker=worker, token=token)
+        assert (
+            BatchLeaseRequest.from_dict(json.loads(json.dumps(message.to_dict())))
+            == message
+        )
 
     @given(unit=_ids, worker=_ids, token=_ids, result=_json_values)
     def test_record_request_round_trip(self, unit, worker, token, result):
-        message = RecordRequest(unit=unit, worker=worker, token=token, result=result)
-        assert RecordRequest.from_dict(json.loads(json.dumps(message.to_dict()))) == message
+        message = BatchRecordRequest(
+            units=(unit,), results=(result,), worker=worker, token=token
+        )
+        assert (
+            BatchRecordRequest.from_dict(json.loads(json.dumps(message.to_dict())))
+            == message
+        )
 
     @given(
-        granted=st.booleans(),
+        unit=_ids,
+        outcome=st.sampled_from(("granted", "reclaimed", "held", "completed")),
         token=_ids,
         ttl=_ttls,
-        reclaimed=st.booleans(),
-        completed=st.booleans(),
     )
-    def test_claim_reply_round_trip(self, granted, token, ttl, reclaimed, completed):
-        message = ClaimReply(
-            granted=granted,
-            token=token,
-            ttl=ttl,
-            reclaimed=reclaimed,
-            completed=completed,
+    def test_claim_reply_round_trip(self, unit, outcome, token, ttl):
+        granted = outcome in ("granted", "reclaimed")
+        message = BatchClaimReply(
+            granted=(unit,) if granted else (),
+            token=token if granted else "",
+            ttl=ttl if granted else 0.0,
+            reclaimed=(unit,) if outcome == "reclaimed" else (),
+            completed=(unit,) if outcome == "completed" else (),
         )
-        assert ClaimReply.from_dict(json.loads(json.dumps(message.to_dict()))) == message
+        assert (
+            BatchClaimReply.from_dict(json.loads(json.dumps(message.to_dict())))
+            == message
+        )
 
-    @given(ok=st.booleans(), stale=st.booleans(), duplicate=st.booleans())
-    def test_ack_reply_round_trip(self, ok, stale, duplicate):
-        message = AckReply(ok=ok, stale=stale, duplicate=duplicate)
-        assert AckReply.from_dict(json.loads(json.dumps(message.to_dict()))) == message
+    @given(unit=_ids, ok=st.booleans(), stale=st.booleans(), duplicate=st.booleans())
+    def test_ack_reply_round_trip(self, unit, ok, stale, duplicate):
+        ack = BatchAckReply(ok=ok, stale=(unit,) if stale else ())
+        assert BatchAckReply.from_dict(json.loads(json.dumps(ack.to_dict()))) == ack
+        recorded = BatchRecordReply(ok=ok, duplicates=(unit,) if duplicate else ())
+        assert (
+            BatchRecordReply.from_dict(json.loads(json.dumps(recorded.to_dict())))
+            == recorded
+        )
 
     @given(
         payload=st.one_of(
@@ -175,7 +216,7 @@ class TestWirePayloads:
             st.text(max_size=10),
             st.lists(st.integers(), max_size=3),
             st.dictionaries(
-                st.sampled_from(["unit", "worker", "token", "granted", "ok"]),
+                st.sampled_from(["unit", "units", "worker", "token", "granted", "ok"]),
                 st.none(),
                 max_size=2,
             ),
@@ -183,11 +224,6 @@ class TestWirePayloads:
     )
     def test_malformed_payloads_rejected(self, payload):
         for parser in (
-            ClaimRequest,
-            LeaseRequest,
-            RecordRequest,
-            ClaimReply,
-            AckReply,
             BatchClaimRequest,
             BatchClaimReply,
             BatchLeaseRequest,
@@ -200,9 +236,9 @@ class TestWirePayloads:
 
     def test_granted_claim_reply_requires_token_and_ttl(self):
         with pytest.raises(ValueError, match="token"):
-            ClaimReply.from_dict({"granted": True, "token": "", "ttl": 5.0})
+            BatchClaimReply.from_dict({"granted": ["u0"], "token": "", "ttl": 5.0})
         with pytest.raises(ValueError, match="ttl"):
-            ClaimReply.from_dict({"granted": True, "token": "t", "ttl": 0})
+            BatchClaimReply.from_dict({"granted": ["u0"], "token": "t", "ttl": 0})
 
     # ------------------------- batched payloads ------------------------ #
     @given(units=st.lists(_ids, min_size=1, max_size=6, unique=True), worker=_ids)
@@ -295,18 +331,17 @@ class TestWirePayloads:
 # Coordinator state machine (no HTTP)
 # ---------------------------------------------------------------------- #
 class TestCoordinatorState:
+    """The lease state machine on single units, each a batch of one."""
+
     def test_claim_renew_record_release_lifecycle(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        assert grant.granted and grant.token and grant.ttl == 30.0
+        grant = claim1(coordinator, "u0", "w1")
+        assert grant.granted == ("u0",) and grant.token and grant.ttl == 30.0
         assert not grant.reclaimed
-        lease = LeaseRequest(unit="u0", worker="w1", token=grant.token)
-        assert coordinator.renew(lease).ok
-        ack = coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=42)
-        )
-        assert ack.ok and not ack.duplicate
-        assert coordinator.release(lease).ok
+        assert renew1(coordinator, "u0", "w1", grant.token).ok
+        ack = record1(coordinator, "u0", "w1", grant.token, 42)
+        assert ack.ok and not ack.duplicates
+        assert release1(coordinator, "u0", "w1", grant.token).ok
         assert coordinator.completed_keys() == ["u0"]
         assert coordinator.results() == {"u0": 42}
         # The result is durable in a normal per-worker shard.
@@ -314,71 +349,55 @@ class TestCoordinatorState:
 
     def test_held_unit_denied_to_others_until_release(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        denied = coordinator.claim(ClaimRequest(unit="u0", worker="w2"))
+        grant = claim1(coordinator, "u0", "w1")
+        denied = claim1(coordinator, "u0", "w2")
         assert not denied.granted and not denied.completed
-        coordinator.release(LeaseRequest(unit="u0", worker="w1", token=grant.token))
-        assert coordinator.claim(ClaimRequest(unit="u0", worker="w2")).granted
+        release1(coordinator, "u0", "w1", grant.token)
+        assert claim1(coordinator, "u0", "w2").granted
 
     def test_completed_unit_claim_reports_completed(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=1)
-        )
-        reply = coordinator.claim(ClaimRequest(unit="u0", worker="w2"))
-        assert not reply.granted and reply.completed
-
-    def test_reclaim_by_holder_is_idempotent_same_token(self, tmp_path):
-        """A lost claim reply is retried; the holder must get its own
-        token back, not a denial (which would deadlock the unit)."""
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        first = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        again = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        assert again.granted and again.token == first.token
+        grant = claim1(coordinator, "u0", "w1")
+        record1(coordinator, "u0", "w1", grant.token, 1)
+        reply = claim1(coordinator, "u0", "w2")
+        assert not reply.granted and reply.completed == ("u0",)
 
     def test_expired_lease_regranted_with_fresh_token_and_stale_fencing(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"], ttl=0.05)
-        old = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
+        old = claim1(coordinator, "u0", "w1")
         time.sleep(0.1)
-        stolen = coordinator.claim(ClaimRequest(unit="u0", worker="w2"))
-        assert stolen.granted and stolen.reclaimed and stolen.token != old.token
+        stolen = claim1(coordinator, "u0", "w2")
+        assert stolen.granted and stolen.reclaimed == ("u0",)
+        assert stolen.token != old.token
         # The superseded holder's renew and release are rejected as stale.
-        old_lease = LeaseRequest(unit="u0", worker="w1", token=old.token)
-        renew = coordinator.renew(old_lease)
-        assert not renew.ok and renew.stale
-        release = coordinator.release(old_lease)
-        assert not release.ok and release.stale
+        renew = renew1(coordinator, "u0", "w1", old.token)
+        assert not renew.ok and renew.stale == ("u0",)
+        release = release1(coordinator, "u0", "w1", old.token)
+        assert release.stale == ("u0",)
         # The thief's lease survives untouched.
-        new_lease = LeaseRequest(unit="u0", worker="w2", token=stolen.token)
-        assert coordinator.renew(new_lease).ok
+        assert renew1(coordinator, "u0", "w2", stolen.token).ok
 
     def test_renew_keeps_a_lease_alive_past_its_ttl(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"], ttl=0.15)
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        lease = LeaseRequest(unit="u0", worker="w1", token=grant.token)
+        grant = claim1(coordinator, "u0", "w1")
         for _ in range(4):
             time.sleep(0.05)
-            assert coordinator.renew(lease).ok
-        assert not coordinator.claim(ClaimRequest(unit="u0", worker="w2")).granted
+            assert renew1(coordinator, "u0", "w1", grant.token).ok
+        assert not claim1(coordinator, "u0", "w2").granted
 
     def test_release_of_vanished_lease_is_idempotent(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        lease = LeaseRequest(unit="u0", worker="w1", token=grant.token)
-        assert coordinator.release(lease).ok
-        assert coordinator.release(lease).ok  # retry after a lost reply
+        grant = claim1(coordinator, "u0", "w1")
+        assert release1(coordinator, "u0", "w1", grant.token).ok
+        again = release1(coordinator, "u0", "w1", grant.token)  # retry after a lost reply
+        assert again.ok and again.stale == ()
 
     def test_duplicate_record_dropped_first_writer_wins(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=1)
-        )
-        ack = coordinator.record(
-            RecordRequest(unit="u0", worker="w2", token="stale", result=999)
-        )
-        assert ack.ok and ack.duplicate
+        grant = claim1(coordinator, "u0", "w1")
+        record1(coordinator, "u0", "w1", grant.token, 1)
+        ack = record1(coordinator, "u0", "w2", "stale", 999)
+        assert ack.ok and ack.duplicates == ("u0",)
         assert coordinator.results() == {"u0": 1}
         assert coordinator.status_payload()["duplicate_records"] == 1
 
@@ -387,25 +406,21 @@ class TestCoordinatorState:
         contributes its (bit-identical) result, and the unit can never be
         claimed again afterwards."""
         coordinator = make_coordinator(tmp_path / "run", ["u0"], ttl=0.05)
-        old = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
+        old = claim1(coordinator, "u0", "w1")
         time.sleep(0.1)
-        coordinator.claim(ClaimRequest(unit="u0", worker="w2"))  # thief mid-run
-        ack = coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=old.token, result=7)
-        )
-        assert ack.ok and not ack.duplicate
+        claim1(coordinator, "u0", "w2")  # thief mid-run
+        ack = record1(coordinator, "u0", "w1", old.token, 7)
+        assert ack.ok and not ack.duplicates
         assert coordinator.results() == {"u0": 7}
-        reply = coordinator.claim(ClaimRequest(unit="u0", worker="w3"))
-        assert not reply.granted and reply.completed
+        reply = claim1(coordinator, "u0", "w3")
+        assert not reply.granted and reply.completed == ("u0",)
 
     def test_unknown_unit_rejected(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0"])
         with pytest.raises(UnknownUnitError):
-            coordinator.claim(ClaimRequest(unit="ghost", worker="w1"))
+            claim1(coordinator, "ghost", "w1")
         with pytest.raises(UnknownUnitError):
-            coordinator.record(
-                RecordRequest(unit="ghost", worker="w1", token="t", result=1)
-            )
+            record1(coordinator, "ghost", "w1", "t", 1)
 
     def test_uninitialized_run_dir_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
@@ -413,11 +428,9 @@ class TestCoordinatorState:
 
     def test_status_payload_schema(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=1)
-        )
-        coordinator.claim(ClaimRequest(unit="u1", worker="w2"))
+        grant = claim1(coordinator, "u0", "w1")
+        record1(coordinator, "u0", "w1", grant.token, 1)
+        claim1(coordinator, "u1", "w2")
         payload = coordinator.status_payload()
         assert payload["backend"] == "coordinator"
         assert payload["schema"] == 1
@@ -435,16 +448,14 @@ class TestCoordinatorState:
 class TestBatchedClaims:
     """The batched protocol's invariants: one token and one journal
     record per grant, per-unit crash granularity, and the same fencing
-    and first-writer-wins rules as the single-unit protocol."""
+    and first-writer-wins rules as a batch of one."""
 
     def test_batch_claim_partitions_free_held_completed(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0", "u1", "u2", "u3"])
-        done = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=done.token, result=1)
-        )
-        coordinator.release(LeaseRequest(unit="u0", worker="w1", token=done.token))
-        coordinator.claim(ClaimRequest(unit="u1", worker="w2"))  # live peer
+        done = claim1(coordinator, "u0", "w1")
+        record1(coordinator, "u0", "w1", done.token, 1)
+        release1(coordinator, "u0", "w1", done.token)
+        claim1(coordinator, "u1", "w2")  # live peer
 
         reply = coordinator.claim_batch(
             BatchClaimRequest(units=("u0", "u1", "u2", "u3"), worker="w3")
@@ -474,9 +485,7 @@ class TestBatchedClaims:
             BatchClaimRequest(units=("u0", "u1", "u2"), worker="w1")
         )
         # w1 finishes u0 mid-batch (records drop members one at a time)...
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=batch.token, result=0)
-        )
+        record1(coordinator, "u0", "w1", batch.token, 0)
         time.sleep(0.1)  # ...then goes silent past the ttl.
         steal = coordinator.claim_batch(
             BatchClaimRequest(units=("u0", "u1", "u2"), worker="w2")
@@ -512,9 +521,7 @@ class TestBatchedClaims:
     def test_renew_batch_reports_recorded_members_as_stale(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
         batch = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=batch.token, result=0)
-        )
+        record1(coordinator, "u0", "w1", batch.token, 0)
         ack = coordinator.renew_batch(
             BatchLeaseRequest(units=("u0", "u1"), worker="w1", token=batch.token)
         )
@@ -532,16 +539,14 @@ class TestBatchedClaims:
             BatchLeaseRequest(units=("u0", "u1"), worker="w1", token=batch.token)
         )
         assert ack.ok and ack.stale == ("u0",)
-        assert coordinator.renew(
-            LeaseRequest(unit="u0", worker="w2", token=steal.token)
-        ).ok
+        assert renew1(coordinator, "u0", "w2", steal.token).ok
         # Releasing again (retry after a lost reply) acknowledges idempotently.
         again = coordinator.release_batch(
             BatchLeaseRequest(units=("u1",), worker="w1", token=batch.token)
         )
         assert again.ok
         # u1 is free again.
-        assert coordinator.claim(ClaimRequest(unit="u1", worker="w3")).granted
+        assert claim1(coordinator, "u1", "w3").granted
 
     def test_duplicate_batch_record_first_writer_wins(self, tmp_path):
         coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
@@ -563,7 +568,7 @@ class TestBatchedClaims:
         assert coordinator.results() == {"u0": 1, "u1": 2}
 
     def test_batch_record_with_stale_token_accepted_when_unrecorded(self, tmp_path):
-        """Like the single-unit protocol: a robbed worker that finishes
+        """Like a batch of one: a robbed worker that finishes
         first contributes its bit-identical results rather than wasting
         them, and the listed leases are dropped."""
         coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"], ttl=0.05)
@@ -577,7 +582,7 @@ class TestBatchedClaims:
         )
         assert late.ok and late.duplicates == ()
         assert coordinator.results() == {"u0": 1, "u1": 2}
-        assert coordinator.claim(ClaimRequest(unit="u0", worker="w3")).completed
+        assert claim1(coordinator, "u0", "w3").completed
 
     def test_restart_restores_batch_leases_and_flushed_records(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -636,29 +641,28 @@ class TestCoordinatorRecovery:
     def test_restart_restores_results_and_leases(self, tmp_path):
         run_dir = tmp_path / "run"
         first = make_coordinator(run_dir, ["u0", "u1", "u2"])
-        done = first.claim(ClaimRequest(unit="u0", worker="w1"))
-        first.record(RecordRequest(unit="u0", worker="w1", token=done.token, result=5))
-        first.release(LeaseRequest(unit="u0", worker="w1", token=done.token))
-        inflight = first.claim(ClaimRequest(unit="u1", worker="w2"))
+        done = claim1(first, "u0", "w1")
+        record1(first, "u0", "w1", done.token, 5)
+        release1(first, "u0", "w1", done.token)
+        inflight = claim1(first, "u1", "w2")
         # "SIGKILL": drop the object without any shutdown handshake.
         restarted = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1", "u2"])
         assert restarted.completed_keys() == ["u0"]
         assert restarted.results() == {"u0": 5}
         # The in-flight lease survived under the same token: its holder's
         # renewals keep working across the restart...
-        lease = LeaseRequest(unit="u1", worker="w2", token=inflight.token)
-        assert restarted.renew(lease).ok
+        assert renew1(restarted, "u1", "w2", inflight.token).ok
         # ...and nobody else can steal the unit.
-        assert not restarted.claim(ClaimRequest(unit="u1", worker="w3")).granted
-        assert restarted.claim(ClaimRequest(unit="u2", worker="w3")).granted
+        assert not claim1(restarted, "u1", "w3").granted
+        assert claim1(restarted, "u2", "w3").granted
 
     def test_restart_drops_lease_left_on_completed_unit(self, tmp_path):
         """A worker that recorded but was killed before releasing leaves a
         lease husk; restart must not resurrect it as in-flight work."""
         run_dir = tmp_path / "run"
         first = make_coordinator(run_dir, ["u0"])
-        grant = first.claim(ClaimRequest(unit="u0", worker="w1"))
-        first.record(RecordRequest(unit="u0", worker="w1", token=grant.token, result=1))
+        grant = claim1(first, "u0", "w1")
+        record1(first, "u0", "w1", grant.token, 1)
         restarted = Coordinator(run_dir, ttl=30.0, unit_keys=["u0"])
         payload = restarted.status_payload()
         assert payload["complete"]
@@ -676,10 +680,10 @@ class TestCoordinatorRecovery:
         with tempfile.TemporaryDirectory() as td:
             run_dir = Path(td) / "run"
             first = make_coordinator(run_dir, ["u0", "u1"])
-            done = first.claim(ClaimRequest(unit="u0", worker="w1"))
-            first.record(RecordRequest(unit="u0", worker="w1", token=done.token, result=9))
-            first.release(LeaseRequest(unit="u0", worker="w1", token=done.token))
-            first.claim(ClaimRequest(unit="u1", worker="w2"))
+            done = claim1(first, "u0", "w1")
+            record1(first, "u0", "w1", done.token, 9)
+            release1(first, "u0", "w1", done.token)
+            claim1(first, "u1", "w2")
             journal = run_dir / JOURNAL_NAME
             blob = journal.read_bytes()
             journal.write_bytes(blob[: min(cut, len(blob))])
@@ -688,27 +692,119 @@ class TestCoordinatorRecovery:
             assert restarted.results() == {"u0": 9}  # shards are the truth
             # u1 is either still leased by w2 (its claim line survived) or
             # forgotten (torn away) — in which case it is claimable.
-            reply = restarted.claim(ClaimRequest(unit="u1", worker="w3"))
+            reply = claim1(restarted, "u1", "w3")
             if not reply.granted:
                 assert not reply.completed  # held by w2, not lost
             # u0 can never be re-granted: it is complete.
-            assert restarted.claim(ClaimRequest(unit="u0", worker="w3")).completed
+            assert claim1(restarted, "u0", "w3").completed
 
     def test_journal_survives_append_after_torn_line(self, tmp_path):
         """The shared torn-line repair: a fresh event appended after torn
         bytes must not be glued onto them."""
         run_dir = tmp_path / "run"
         first = make_coordinator(run_dir, ["u0", "u1"])
-        first.claim(ClaimRequest(unit="u0", worker="w1"))
+        claim1(first, "u0", "w1")
         journal = run_dir / JOURNAL_NAME
         with journal.open("ab") as fh:
             fh.write(b'{"event": "claim", "unit": "u1"')  # torn write
         second = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1"])
-        grant = second.claim(ClaimRequest(unit="u1", worker="w2"))
+        grant = claim1(second, "u1", "w2")
         assert grant.granted
         third = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1"])
-        lease = LeaseRequest(unit="u1", worker="w2", token=grant.token)
-        assert third.renew(lease).ok
+        assert renew1(third, "u1", "w2", grant.token).ok
+
+
+    #: One history, as (pre-fold singular event, the same transition as
+    #: a batch event): a recorded unit, an expired lease re-granted as a
+    #: reclaim, a released unit, and a unit still in flight.
+    PRE_FOLD_HISTORY = [
+        (
+            {"event": "claim", "unit": "u0", "worker": "w1", "token": "t0", "ttl": 30.0,
+             "reclaimed": False},
+            {"event": "claim", "units": ["u0"], "worker": "w1", "token": "t0", "ttl": 30.0,
+             "reclaimed": []},
+        ),
+        (
+            {"event": "record", "unit": "u0", "worker": "w1"},
+            {"event": "record", "units": ["u0"], "worker": "w1"},
+        ),
+        (
+            {"event": "claim", "unit": "u1", "worker": "w1", "token": "t1", "ttl": 30.0,
+             "reclaimed": False},
+            {"event": "claim", "units": ["u1"], "worker": "w1", "token": "t1", "ttl": 30.0,
+             "reclaimed": []},
+        ),
+        (
+            {"event": "expire", "unit": "u1", "worker": "w1", "token": "t1"},
+            {"event": "expire", "units": ["u1"], "worker": "w1", "token": "t1"},
+        ),
+        (
+            {"event": "claim", "unit": "u1", "worker": "w2", "token": "t2", "ttl": 30.0,
+             "reclaimed": True},
+            {"event": "claim", "units": ["u1"], "worker": "w2", "token": "t2", "ttl": 30.0,
+             "reclaimed": ["u1"]},
+        ),
+        (
+            {"event": "claim", "unit": "u2", "worker": "w2", "token": "t3", "ttl": 30.0,
+             "reclaimed": False},
+            {"event": "claim", "units": ["u2"], "worker": "w2", "token": "t3", "ttl": 30.0,
+             "reclaimed": []},
+        ),
+        (
+            {"event": "release", "unit": "u2", "worker": "w2", "token": "t3"},
+            {"event": "release", "units": ["u2"], "worker": "w2", "token": "t3"},
+        ),
+        (
+            {"event": "claim", "unit": "u3", "worker": "w3", "token": "t4", "ttl": 30.0,
+             "reclaimed": False},
+            {"event": "claim", "units": ["u3"], "worker": "w3", "token": "t4", "ttl": 30.0,
+             "reclaimed": []},
+        ),
+    ]
+    UNITS = ["u0", "u1", "u2", "u3", "u4"]
+
+    def _replayed(self, run_dir: Path, events: list[dict], via_snapshot: bool) -> tuple:
+        """Restart a coordinator over ``events`` written as its journal and
+        return its comparable state."""
+        make_coordinator(run_dir, self.UNITS)  # initializes the run directory
+        RunCheckpoint(run_dir).record("u0", 5, shard="w1")  # the shard u0's record wrote
+        journal = run_dir / JOURNAL_NAME
+        if via_snapshot:
+            # Snapshot the (empty) state; the history lands in segment 1.
+            sealed = Coordinator(run_dir, ttl=30.0, unit_keys=self.UNITS)
+            sealed.roll_journal()
+            sealed.close()
+            journal = journal_segment_path(run_dir, 1)
+        journal.write_text("".join(json.dumps(event) + "\n" for event in events))
+        restarted = Coordinator(run_dir, ttl=30.0, unit_keys=self.UNITS)
+        assert restarted._results_hydrated is not via_snapshot  # the path under test
+        status = restarted.status_payload()
+        for item in status["active_leases"] + status["stale_leases"]:
+            del item["heartbeat_age"]  # the restart instant, not history
+        del status["source"]
+        leases = {
+            unit: (entry.worker, entry.token, entry.ttl, entry.reclaimed, entry.restored)
+            for unit, entry in restarted._leases.items()
+        }
+        state = (status, restarted.completed_keys(), leases)
+        restarted.close()
+        return state
+
+    @pytest.mark.parametrize("via_snapshot", [False, True], ids=["full", "snapshot"])
+    def test_pre_fold_journal_replays_like_batch_events(self, tmp_path, via_snapshot):
+        """Run directories journaled by the per-unit protocol (singular
+        ``"unit"`` events, ``"reclaimed": true``) restart unchanged."""
+        singular = [old for old, _ in self.PRE_FOLD_HISTORY]
+        batched = [new for _, new in self.PRE_FOLD_HISTORY]
+        old = self._replayed(tmp_path / "old", singular, via_snapshot)
+        new = self._replayed(tmp_path / "new", batched, via_snapshot)
+        assert old == new
+        status, completed, leases = old
+        assert completed == ["u0"] and list(status["shard_counts"].values()) == [1]
+        assert leases == {
+            "u1": ("w2", "t2", 30.0, True, True),
+            "u3": ("w3", "t4", 30.0, False, True),
+        }
 
 
 # ---------------------------------------------------------------------- #
@@ -780,6 +876,36 @@ class TestHttpBackend:
         with pytest.raises(CoordinatorError, match="unreachable"):
             backend.completed_keys()
         assert time.monotonic() - start < 10
+
+    def test_per_unit_endpoints_answer_404_without_retries(self, tmp_path):
+        """An old client's ``POST /claim`` is a protocol error (404), never
+        a transient one: no retry loop, even with a long retry budget."""
+        import http.client
+
+        run_dir = tmp_path / "run"
+        RunCheckpoint(run_dir).initialize(
+            {"kind": "sweep", "spec": {"name": "t"}, "units": 1}, resume=True
+        )
+        body = json.dumps({"unit": "u0", "worker": "w1"})
+        with running_coordinator(run_dir, unit_keys=["u0"]) as server:
+            host, port = server.server_address[:2]
+            for path in ("/claim", "/renew", "/release", "/record"):
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.request("POST", path, body=body)
+                    assert conn.getresponse().status == 404, path
+                finally:
+                    conn.close()
+            backend = HttpWorkBackend(server.url, retry_timeout=30)
+            retries = backend._m_retries.value()
+            start = time.monotonic()
+            with pytest.raises(CoordinatorProtocolError, match="404"):
+                backend._request("/claim", {"unit": "u0", "worker": "w1"})
+            assert time.monotonic() - start < 5
+            assert backend._m_retries.value() == retries
+            backend.close()
+            # The unit was never claimed by the refused request.
+            assert server.coordinator.status_payload()["active_leases"] == []
 
     def test_drain_units_over_http_backend(self, tmp_path):
         from repro.runtime import WorkUnit
@@ -954,6 +1080,34 @@ class TestCoordinatorSweep:
             assert best.task_graph == res.best_instance.task_graph
             assert best.network == res.best_instance.network
 
+    def test_coordinator_sweep_leaves_no_unclosed_sockets(self, tmp_path, monkeypatch):
+        """Every keep-alive connection a coordinator sweep opens — the
+        manifest check's, the worker's, and its heartbeat thread's — is
+        closed by the time ``run_sweep`` returns."""
+        import gc
+        import warnings
+
+        # Hold each unit open across a few heartbeats so renewals go out.
+        monkeypatch.setenv("REPRO_RUNTIME_UNIT_DELAY", "0.05")
+        spec = tiny_benchmark_spec()
+        run_dir = tmp_path / "run"
+        plan = init_run_dir(run_dir, spec)
+        with running_coordinator(run_dir, unit_keys=[u.key for u in plan.units]) as server:
+            gc.collect()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_sweep(
+                    spec,
+                    backend="coordinator",
+                    coordinator=server.url,
+                    heartbeat_interval=0.01,
+                    poll_interval=0.05,
+                )
+                gc.collect()
+        assert result.benchmark is not None
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, leaks
+
     def test_run_sweep_coordinator_validations(self, tmp_path):
         import numpy as np
 
@@ -1028,7 +1182,7 @@ class TestCoordinatorSweep:
             def __init__(self):
                 self.calls = 0
 
-            def renew(self, lease):
+            def renew_batch(self, lease):
                 self.calls += 1
                 if self.calls == 1:
                     raise CoordinatorProtocolError("garbage ack")

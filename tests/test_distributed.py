@@ -740,6 +740,20 @@ class TestDrainUnits:
         assert stats.executed == 1 and stats.reclaimed == 0
         assert checkpoint.completed() == {"u0": 1}
 
+    def test_renewing_a_fully_recorded_batch_is_not_a_lost_lease(self, tmp_path):
+        """A heartbeat that lands after the batch's last member was
+        recorded (which releases it) must not read as ownership lost."""
+        from repro.runtime.backends import FilesystemWorkBackend
+
+        checkpoint = RunCheckpoint(tmp_path / "run")
+        checkpoint.initialize({"kind": "t"})
+        backend = FilesystemWorkBackend(checkpoint, ttl=3600)
+        batch = backend.claim("u0", "w1")  # a batch of one
+        backend.record(batch, 1)
+        assert not LeaseDir(checkpoint.run_dir).lease_path("u0").exists()
+        assert backend.renew(batch) is batch
+        assert checkpoint.completed() == {"u0": 1}
+
 
 class TestRunUnitsDistributedBackend:
     def test_matches_local_backend_with_spawned_rngs(self, tmp_path):

@@ -136,20 +136,6 @@ class TestFig4:
             schedulers=["HEFT", "CPoP"], config=MICRO, rng=None
         ).report
 
-    def test_checkpoint_dir_is_deprecated_alias_for_run_dir(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="run_dir"):
-            old = fig4_pisa_heatmap.run(
-                schedulers=["HEFT", "CPoP"],
-                config=MICRO,
-                rng=0,
-                checkpoint_dir=tmp_path / "old",
-            )
-        assert (tmp_path / "old" / "units.jsonl").exists()
-        new = fig4_pisa_heatmap.run(
-            schedulers=["HEFT", "CPoP"], config=MICRO, rng=0, run_dir=tmp_path / "new"
-        )
-        assert old.report == new.report
-
 
 class TestFig5Fig6:
     def test_micro_case_study(self):
@@ -234,17 +220,16 @@ class TestFig1019:
         assert len(result.panels) == 1
         assert result.report
 
-    def test_panel_checkpoint_dir_deprecated_and_layout(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="run_dir"):
-            fig10_19_app_specific.run_panel(
-                "blast",
-                1.0,
-                schedulers=["HEFT", "FastestNode"],
-                bench_instances=2,
-                config=MICRO,
-                rng=0,
-                checkpoint_dir=tmp_path,
-            )
+    def test_panel_run_dir_layout(self, tmp_path):
+        fig10_19_app_specific.run_panel(
+            "blast",
+            1.0,
+            schedulers=["HEFT", "FastestNode"],
+            bench_instances=2,
+            config=MICRO,
+            rng=0,
+            run_dir=tmp_path,
+        )
         # The panel checkpoints both halves under the one run directory.
         assert (tmp_path / "bench" / "units.jsonl").exists()
         assert (tmp_path / "pisa" / "units.jsonl").exists()

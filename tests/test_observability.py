@@ -422,10 +422,12 @@ class TestCoordinatorMetrics:
         assert families["coordinator_total_units"][()] == 2.0
         assert families["coordinator_worker_records_total"][(("worker", "w1"),)] == 1.0
         # The request-latency histogram saw every HTTP round trip above,
-        # labeled per endpoint.
+        # labeled per endpoint: a unit is a batch of one, and its record
+        # already released it, so the release sent nothing.
         latency = families["coordinator_request_seconds_count"]
-        assert latency[(("op", "/claim"),)] == 1.0
-        assert latency[(("op", "/record"),)] == 1.0
+        assert latency[(("op", "/claim-batch"),)] == 1.0
+        assert latency[(("op", "/record-batch"),)] == 1.0
+        assert (("op", "/release-batch"),) not in latency
 
     def test_metrics_survive_restart_and_takeover(self, tmp_path):
         """A fresh coordinator over the same run dir — what both a

@@ -247,7 +247,7 @@ class TestCheckpointResume:
         """Kill after N units, resume, same final matrix."""
         run_dir = tmp_path / "sweep"
         full = pairwise_comparison(
-            SCHEDULERS, config=FAST, rng=5, checkpoint_dir=run_dir
+            SCHEDULERS, config=FAST, rng=5, run_dir=run_dir
         )
         units_path = run_dir / "units.jsonl"
         lines = units_path.read_text().splitlines()
@@ -261,7 +261,7 @@ class TestCheckpointResume:
             SCHEDULERS,
             config=FAST,
             rng=5,
-            checkpoint_dir=run_dir,
+            run_dir=run_dir,
             resume=True,
             progress=lambda t, b, r: executed.append((t, b)),
         )
@@ -271,22 +271,22 @@ class TestCheckpointResume:
 
     def test_resume_with_different_config_rejected(self, tmp_path):
         run_dir = tmp_path / "sweep"
-        pairwise_comparison(["HEFT", "CPoP"], config=FAST, rng=5, checkpoint_dir=run_dir)
+        pairwise_comparison(["HEFT", "CPoP"], config=FAST, rng=5, run_dir=run_dir)
         other = PISAConfig(
             annealing=AnnealingConfig(max_iterations=26, alpha=0.9), restarts=2
         )
         with pytest.raises(ValueError, match="manifest"):
             pairwise_comparison(
-                ["HEFT", "CPoP"], config=other, rng=5, checkpoint_dir=run_dir, resume=True
+                ["HEFT", "CPoP"], config=other, rng=5, run_dir=run_dir, resume=True
             )
 
     def test_resumed_best_instance_survives_roundtrip(self, tmp_path):
         run_dir = tmp_path / "sweep"
-        full = pairwise_comparison(["HEFT", "CPoP"], config=FAST, rng=9, checkpoint_dir=run_dir)
+        full = pairwise_comparison(["HEFT", "CPoP"], config=FAST, rng=9, run_dir=run_dir)
         # Resume with everything already complete: the matrix is rebuilt
         # purely from the checkpoint.
         restored = pairwise_comparison(
-            ["HEFT", "CPoP"], config=FAST, rng=9, checkpoint_dir=run_dir, resume=True
+            ["HEFT", "CPoP"], config=FAST, rng=9, run_dir=run_dir, resume=True
         )
         for pair, result in full.results.items():
             assert restored.results[pair].best_ratio == result.best_ratio
@@ -316,7 +316,7 @@ class TestSpawnStartMethod:
     def test_resume_after_kill_under_spawn(self, tmp_path):
         run_dir = tmp_path / "sweep"
         full = pairwise_comparison(
-            self.SPAWN_PAIR, config=FAST, rng=5, jobs=2, checkpoint_dir=run_dir
+            self.SPAWN_PAIR, config=FAST, rng=5, jobs=2, run_dir=run_dir
         )
         units_path = run_dir / "units.jsonl"
         lines = units_path.read_text().splitlines()
@@ -327,7 +327,7 @@ class TestSpawnStartMethod:
             config=FAST,
             rng=5,
             jobs=2,
-            checkpoint_dir=run_dir,
+            run_dir=run_dir,
             resume=True,
         )
         assert _ratios(resumed) == _ratios(full)
