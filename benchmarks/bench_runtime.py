@@ -52,6 +52,7 @@ from repro.core.reference import ReferenceScheduleBuilder, use_reference_builder
 from repro.core.simulator import ScheduleBuilder
 from repro.datasets.random_graphs import parallel_chains_task_graph, random_network
 from repro.pisa import PISA, AnnealingConfig, PISAConfig, pairwise_comparison
+from repro.pisa.perturbations import STRUCTURAL_KINDS
 from repro.utils.rng import as_generator
 
 GRID_SCHEDULERS = ["HEFT", "CPoP", "MinMin", "FastestNode"]
@@ -197,14 +198,18 @@ def test_annealing_energy_speedup(report_dir):
     traces = ev0.traces_for(0)
 
     # Draw weight-delta moves only — the annealer's batchable candidates
-    # (structural moves take the serial fallback either way).
+    # (structural moves change the structure, so they never stack).
     rounds: list[list] = []
     candidates = []
     while len(rounds) < ENERGY_ROUNDS:
         deltas = []
         while len(deltas) < ENERGY_BATCH:
             move = pisa.perturbations.plan(parent, gen)
-            if move.delta is not None and compiled.apply_delta(move.delta) is not None:
+            if (
+                move.delta is not None
+                and move.delta.kind not in STRUCTURAL_KINDS
+                and compiled.apply_delta(move.delta) is not None
+            ):
                 deltas.append(move.delta)
                 candidates.append(move.materialize(parent))
         rounds.append(deltas)

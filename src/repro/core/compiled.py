@@ -11,11 +11,14 @@ graphs to snapshot weights, and answered every ``est``/``eft``/
 :class:`~repro.core.instance.ProblemInstance` shared by every
 :class:`~repro.core.simulator.ScheduleBuilder` over that instance — both
 schedules of a PISA candidate, every member of a genetic population.  A
-candidate that differs from its parent by one weight is not compiled at
-all: :meth:`CompiledInstance.apply_delta` derives its tables from the
-parent's, sharing every structure-only artifact; only structural moves
-(add/remove dependency) and fresh instances pay a full build.  It
-precomputes:
+PISA candidate is never compiled from scratch:
+:meth:`CompiledInstance.apply_delta` derives its tables from the
+parent's.  A weight move shares every structure artifact and copies the
+tables its cell touches; an add/remove-dependency move shares every
+weight and network table and rebuilds only the edge structure.  Only
+fresh instances pay a full build.  Schedulers accept a compilation in
+place of the instance (:func:`compile_instance` is the identity on one),
+so PISA scores a candidate from its tables alone.  It precomputes:
 
 * ``exec_tbl[t, v] = c(t) / s(v)`` — the related-machines timing table;
 * ``strength[u, v]`` — the full node-to-node strength matrix with the
@@ -48,11 +51,11 @@ Cache invalidation
 ------------------
 ``compile_instance`` memoizes the compiled kernel on the instance object,
 keyed by the mutation counters :attr:`TaskGraph.version` /
-:attr:`Network.version` and the identity of the two halves — PISA's
-perturbations mutate *copies* (of the half they touch; the other half is
-shared), so in the steady state a candidate is compiled, or delta-derived,
-exactly once; direct mutation of a compiled instance simply triggers a
-recompile on next use.
+:attr:`Network.version` and the identity of the two halves; direct
+mutation of a compiled instance simply triggers a recompile on next use.
+A delta clone is *unbound*: it belongs to no instance, and its tables
+are the only description of the candidate until the annealer builds
+the restart's best instance at the end.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.exceptions import InvalidInstanceError
+from repro.core.exceptions import InvalidInstanceError, SchedulingError
 from repro.core.instance import ProblemInstance
 from repro.utils import phases
 from repro.utils.topo import lexicographic_ids
@@ -95,6 +98,16 @@ def reset_compile_stats() -> None:
     """Zero the kernel-construction counters."""
     for key in _STATS:
         _STATS[key] = 0
+
+
+#: The delta kinds that change the network half of an instance; every
+#: other kind changes the task graph (a materialized move copies the half
+#: it changes).
+NETWORK_KINDS = ("node_speed", "link_strength")
+
+
+def _ascending(ids: tuple[int, ...]) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def _reject(instance: ProblemInstance) -> None:
@@ -152,6 +165,7 @@ class CompiledInstance:
         "link_ids",
         "sort_order",
         "shape_cache",
+        "_preds_sorted",
         "_mean_inv_speed",
         "_inv_strength_sum",
         "_num_links",
@@ -256,32 +270,17 @@ class CompiledInstance:
             _reject(instance)
         # Dependency ids in graph edge order (``TaskGraph.dependencies``).
         self.dep_ids: tuple[tuple[int, int], ...] = tuple(self.data)
-        # Acyclicity via Kahn's algorithm over the already-extracted ids,
-        # run generation by generation exactly like networkx's
-        # ``topological_generations`` (in-degree scan in node order,
-        # children in successor order), so the order it leaves behind is
-        # the one ``networkx.topological_sort`` yields.
-        remaining = [len(ps) for ps in self.pred_ids]
-        generation = [t for t, r in enumerate(remaining) if r == 0]
-        order: list[int] = []
-        while generation:
-            order.extend(generation)
-            following = []
-            for tid in generation:
-                for sid in self.succ_ids[tid]:
-                    remaining[sid] -= 1
-                    if remaining[sid] == 0:
-                        following.append(sid)
-            generation = following
-        if len(order) != len(self.tasks):
+        sort_order = self._sort_order()
+        if sort_order is None:
             _reject(instance)  # "task graph contains a cycle"
-        self.sort_order: tuple[Task, ...] = tuple(self.tasks[t] for t in order)
+        self.sort_order: tuple[Task, ...] = sort_order
         # Per-task (pred_id, data_size) rows in predecessor order — the
         # iteration order of the scalar data-ready loop.
-        self.pred_edges: tuple[tuple[tuple[int, float], ...], ...] = tuple(
-            tuple((p, self.data[(p, t)]) for p in ps)
-            for t, ps in enumerate(self.pred_ids)
-        )
+        self.pred_edges: tuple[tuple[tuple[int, float], ...], ...] = self._pred_edges()
+        # Copying a task graph (networkx ``DiGraph.copy``) re-inserts the
+        # edges source by source, which sorts every predecessor list by
+        # source id; apply_delta reproduces that for task-graph moves.
+        self._preds_sorted = all(_ascending(ps) for ps in self.pred_ids)
 
         # Node ids sorted by str(), for the schedulers that tie-break on
         # `str(node)` (MinMin, WBA, GDL, BIL, ...); see argmin_ranked.
@@ -314,11 +313,43 @@ class CompiledInstance:
         )
         # Structure-only artifacts built on first use (the lexicographic
         # topological order, the lockstep kernel's padded arrays).  The
-        # dict itself is shared by every delta clone, which never changes
+        # dict itself is shared by every weight-delta clone of the same
         # structure, so whichever sibling builds an artifact first builds
-        # it for all of them.
+        # it for all of them; a clone with different structure gets its
+        # own.
         self.shape_cache: dict = {}
         _STATS["full"] += 1
+
+    def _sort_order(self) -> tuple[Task, ...] | None:
+        """The ``networkx.topological_sort`` order, or None on a cycle.
+
+        Kahn's algorithm over the id lists, run generation by generation
+        exactly like networkx's ``topological_generations`` (in-degree
+        scan in node order, children in successor order), so the order it
+        leaves behind is the one ``networkx.topological_sort`` yields.
+        """
+        remaining = [len(ps) for ps in self.pred_ids]
+        generation = [t for t, r in enumerate(remaining) if r == 0]
+        order: list[int] = []
+        while generation:
+            order.extend(generation)
+            following = []
+            for tid in generation:
+                for sid in self.succ_ids[tid]:
+                    remaining[sid] -= 1
+                    if remaining[sid] == 0:
+                        following.append(sid)
+            generation = following
+        if len(order) != len(self.tasks):
+            return None
+        tasks = self.tasks
+        return tuple(tasks[t] for t in order)
+
+    def _pred_edges(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        data = self.data
+        return tuple(
+            tuple((p, data[(p, t)]) for p in ps) for t, ps in enumerate(self.pred_ids)
+        )
 
     # ------------------------------------------------------------------ #
     # Cache validity
@@ -333,38 +364,44 @@ class CompiledInstance:
         )
 
     # ------------------------------------------------------------------ #
-    # Delta compilation (copy-on-write of one table cell)
+    # Delta compilation (one PISA move applied to the tables)
     # ------------------------------------------------------------------ #
-    def apply_delta(self, delta, instance: ProblemInstance | None = None):
-        """A sibling compilation differing from this one by one weight.
+    def apply_delta(self, delta) -> "CompiledInstance | None":
+        """A sibling compilation: this one with one PISA move applied.
 
-        ``delta`` is a :class:`repro.pisa.perturbations.Delta`; the clone
-        shares every structure artifact (task/node tuples, id maps,
-        predecessor lists, topological and tie-break orders, the
-        :attr:`shape_cache`) and copies
-        only the tables the changed cell touches, recomputing the
-        affected rows/columns and scalar aggregates with exactly the
-        reference arithmetic — so the result is bit-identical to a fresh
-        :func:`compile_instance` of the perturbed instance (pinned by the
-        hypothesis suite in ``tests/test_delta_compile.py``).
+        ``delta`` is a :class:`repro.pisa.perturbations.Delta`.  The clone
+        equals, slot for slot, a fresh :func:`compile_instance` of the
+        materialized move (the touched half of the instance copied, then
+        changed) — pinned by ``tests/test_delta_compile.py``:
 
-        ``instance``, when given, must be the materialized perturbed copy;
-        the clone binds to it and installs itself as its compile cache.
-        When ``None`` the clone is *unbound* (tables only) — the
-        speculative annealer evaluates unbound siblings and binds only
-        the accepted one (:meth:`bind`).
+        * a weight move (``task_weight``, ``dep_weight``, ``node_speed``,
+          ``link_strength``) copies only the tables its cell touches and
+          recomputes the affected rows and scalar aggregates with exactly
+          the reference arithmetic; it shares every structure artifact,
+          the :attr:`shape_cache` included;
+        * a structural move (``add_dep``, ``remove_dep``) shares every
+          weight and network table and rebuilds only the edge structure —
+          the predecessor/successor lists, ``data`` in graph edge order,
+          ``dep_ids``, ``pred_edges`` and ``sort_order`` — under a fresh
+          :attr:`shape_cache`.
 
-        Returns ``None`` when the delta cannot be applied — unknown kind
-        or key, or a value the inline validators would reject — in which
-        case the caller falls back to a full compile (which raises the
-        canonical validation error if the value really is illegal).
+        Copying a task graph sorts its predecessor lists by source id, so
+        a task-graph move (weight or structural) sorts them too.
+
+        The clone is unbound: it belongs to no instance.  Returns ``None``
+        when the delta cannot be applied — unknown kind or key, a value
+        the inline validators would reject, a duplicate or missing edge,
+        a cycle — so the caller falls back to materializing the move,
+        whose setters and validators raise the canonical error (re-adding
+        an existing edge only updates its weight in networkx; no plan
+        draws one).
         """
         t0 = perf_counter() if phases.enabled else 0.0
         kind = delta.kind
         value = delta.value
-        clone = CompiledInstance.__new__(CompiledInstance)
-        for name in CompiledInstance.__slots__:
-            setattr(clone, name, getattr(self, name))
+        clone = self._clone()
+        if kind not in NETWORK_KINDS and not self._preds_sorted:
+            clone._sort_preds()
 
         if kind == "task_weight":
             tid = self.task_id.get(delta.key[0])
@@ -394,9 +431,12 @@ class CompiledInstance:
             data = dict(self.data)
             data[(sid, did)] = float(value)
             clone.data = data
-            pred_edges = list(self.pred_edges)
-            pred_edges[did] = tuple((p, data[(p, did)]) for p in self.pred_ids[did])
+            pred_edges = list(clone.pred_edges)
+            pred_edges[did] = tuple((p, data[(p, did)]) for p in clone.pred_ids[did])
             clone.pred_edges = tuple(pred_edges)
+        elif kind in ("add_dep", "remove_dep"):
+            if not clone._restructure(delta):
+                return None
         elif kind == "node_speed":
             vid = self.node_id.get(delta.key[0])
             if vid is None or not (value > 0.0):
@@ -437,33 +477,97 @@ class CompiledInstance:
         else:
             return None
 
-        if instance is not None:
-            clone.bind(instance)
-        else:
-            clone.instance = None
-            clone._task_graph = None
-            clone._network = None
-            clone._tg_version = -1
-            clone._net_version = -1
         _STATS["delta"] += 1
         if phases.enabled:
             phases.add("compile", perf_counter() - t0)
         return clone
 
-    def bind(self, instance: ProblemInstance) -> None:
-        """Attach this compilation to ``instance`` and become its cache.
+    def copied(self) -> "CompiledInstance":
+        """The compilation of a full copy of this candidate (the identity
+        move): every predecessor list sorted by source id, as copying the
+        task graph does, everything else shared.  ``self`` when already
+        sorted."""
+        if self._preds_sorted:
+            return self
+        clone = self._clone()
+        clone._sort_preds()
+        return clone
 
-        Used after :meth:`apply_delta` produced an unbound clone and the
-        candidate was accepted (its :class:`ProblemInstance` materialized
-        only then).  The caller asserts the tables reflect ``instance``'s
-        current graphs.
-        """
-        self.instance = instance
-        self._task_graph = instance.task_graph
-        self._network = instance.network
-        self._tg_version = instance.task_graph.version
-        self._net_version = instance.network.version
-        instance._compiled_cache = self
+    def _clone(self) -> "CompiledInstance":
+        """An unbound shallow copy: every slot shared, no instance."""
+        clone = CompiledInstance.__new__(CompiledInstance)
+        for name in CompiledInstance.__slots__:
+            setattr(clone, name, getattr(self, name))
+        clone.instance = None
+        clone._task_graph = None
+        clone._network = None
+        clone._tg_version = -1
+        clone._net_version = -1
+        return clone
+
+    def _sort_preds(self) -> None:
+        """Sort every predecessor list by source id, as copying the task
+        graph does.  The sorted structure (and its own shape cache) is
+        memoized on the unsorted one, so all siblings share it."""
+        cached = self.shape_cache.get("sorted_preds")
+        if cached is None:
+            pred_ids = tuple(tuple(sorted(ps)) for ps in self.pred_ids)
+            tasks = self.tasks
+            preds = tuple(tuple(tasks[p] for p in ps) for ps in pred_ids)
+            cached = (pred_ids, preds, {})
+            self.shape_cache["sorted_preds"] = cached
+        self.pred_ids, self.preds, self.shape_cache = cached
+        self.pred_edges = self._pred_edges()
+        self._preds_sorted = True
+
+    def _restructure(self, delta) -> bool:
+        """Apply an ``add_dep``/``remove_dep`` delta to this clone's edge
+        structure in place; False when the move is illegal."""
+        sid = self.task_id.get(delta.key[0])
+        did = self.task_id.get(delta.key[1])
+        if sid is None or did is None:
+            return False
+        adding = delta.kind == "add_dep"
+        if ((sid, did) in self.data) == adding:
+            return False  # duplicate edge to add, or missing edge to remove
+        if adding and (sid == did or not (delta.value >= 0.0)):
+            return False
+        tasks = self.tasks
+        pred_ids = list(self.pred_ids)
+        succ_ids = list(self.succ_ids)
+        preds = list(self.preds)
+        succs = list(self.succs)
+        if adding:
+            # networkx appends a new edge to both adjacency dicts.
+            pred_ids[did] += (sid,)
+            succ_ids[sid] += (did,)
+            preds[did] += (tasks[sid],)
+            succs[sid] += (tasks[did],)
+        else:
+            pred_ids[did] = tuple(p for p in pred_ids[did] if p != sid)
+            succ_ids[sid] = tuple(s for s in succ_ids[sid] if s != did)
+            preds[did] = tuple(tasks[p] for p in pred_ids[did])
+            succs[sid] = tuple(tasks[s] for s in succ_ids[sid])
+        self.pred_ids = tuple(pred_ids)
+        self.succ_ids = tuple(succ_ids)
+        self.preds = tuple(preds)
+        self.succs = tuple(succs)
+        sort_order = self._sort_order()
+        if sort_order is None:
+            return False  # the new edge closes a cycle
+        self.sort_order = sort_order
+        # Graph edge order: sources in task order, each source's edges in
+        # successor order.
+        old = self.data
+        weight = float(delta.value)
+        self.data = {
+            (u, v): old.get((u, v), weight) for u, ss in enumerate(self.succ_ids) for v in ss
+        }
+        self.dep_ids = tuple(self.data)
+        self.pred_edges = self._pred_edges()
+        self.shape_cache = {}
+        self._preds_sorted = _ascending(self.pred_ids[did])
+        return True
 
     # ------------------------------------------------------------------ #
     # Scalar conveniences (identical semantics to simulator.comm_time)
@@ -528,6 +632,18 @@ class CompiledInstance:
             self.shape_cache["lexicographic"] = order
         return order
 
+    def adjacency(self) -> tuple[dict[Task, tuple[Task, ...]], dict[Task, tuple[Task, ...]]]:
+        """``({task: predecessors}, {task: successors})``, in graph order.
+
+        The rank functions' view of the edges; memoized in
+        :attr:`shape_cache`, so every sibling of one structure shares it.
+        """
+        adjacency = self.shape_cache.get("adjacency")
+        if adjacency is None:
+            adjacency = (dict(zip(self.tasks, self.preds)), dict(zip(self.tasks, self.succs)))
+            self.shape_cache["adjacency"] = adjacency
+        return adjacency
+
     # ------------------------------------------------------------------ #
     # Average-time quantities (HEFT/CPoP/GDL rank functions)
     # ------------------------------------------------------------------ #
@@ -539,6 +655,8 @@ class CompiledInstance:
         """
         tid = self.task_id.get(task)
         if tid is None:
+            if self.instance is None:
+                raise SchedulingError(f"unknown task {task!r}")
             from repro.core.simulator import mean_exec_time
 
             return mean_exec_time(self.instance, task)  # unknown task: error
@@ -556,6 +674,8 @@ class CompiledInstance:
             return 0.0
         data = self.data.get((self.task_id.get(src), self.task_id.get(dst)))
         if data is None:
+            if self.instance is None:
+                raise SchedulingError(f"unknown dependency {src!r}->{dst!r}")
             from repro.core.simulator import mean_comm_time
 
             return mean_comm_time(self.instance, src, dst)  # unknown edge: error
@@ -566,7 +686,7 @@ class CompiledInstance:
         return data * self._inv_strength_sum / self._num_links
 
 
-def compile_instance(instance: ProblemInstance) -> CompiledInstance:
+def compile_instance(instance: ProblemInstance | CompiledInstance) -> CompiledInstance:
     """The (cached) compiled kernel of ``instance``.
 
     The compilation is stored on the instance object and keyed by the
@@ -574,7 +694,15 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     candidate — PISA's target + baseline pair, a whole genetic
     population's elites — share one compilation, and any mutation through
     the public setters triggers a transparent recompile.
+
+    A :class:`CompiledInstance` is its own compilation (returned as is,
+    counted as a cache hit): every consumer of this function — the
+    builder, the schedulers, the perturbation plans — takes a compiled
+    candidate wherever it takes an instance.
     """
+    if isinstance(instance, CompiledInstance):
+        _STATS["cache_hits"] += 1
+        return instance
     cached = getattr(instance, "_compiled_cache", None)
     if cached is not None and cached.matches(instance):
         _STATS["cache_hits"] += 1

@@ -265,6 +265,10 @@ class ReferenceScheduleBuilder:
     # Scalar realizations of the batch API the ported schedulers use.
     # ------------------------------------------------------------------ #
     @property
+    def nodes(self) -> tuple[Node, ...]:
+        return self._nodes
+
+    @property
     def node_str_order(self) -> np.ndarray:
         order = getattr(self, "_node_str_order", None)
         if order is None:
@@ -303,16 +307,22 @@ def use_reference_builder():
     modules bind it at import time) and reverts the rank helpers in
     ``repro.schedulers.common`` (mean times *and* both topological
     orders: the priority/MCT-style lexicographic order and the rank
-    functions' ``networkx.topological_sort``) to the uncompiled per-call
-    reference functions, so schedulers that only touch those paths build
-    no ``CompiledInstance`` at all inside the block.  Restores everything
-    on exit.
+    functions' ``networkx.topological_sort``, the task list and the edge
+    maps) to the uncompiled per-call reference functions, so schedulers
+    that only touch those paths build no ``CompiledInstance`` at all
+    inside the block.  Restores everything on exit.
+
+    The frozen builder takes instances only: run PISA inside the block
+    with ``PISAConfig(batch=False)``, which scores materialized copies
+    instead of compiled tables.
 
     (Schedulers that read compiled tables directly — GDL's mean
     execution times, BIL's static level table, FCP's enabling-parent
-    mean comms — still compile here; those values are produced by the
-    very same reference formulas, so equivalence testing is unaffected,
-    and none of them participate in the benchmark's reference timings.)
+    mean comms, the execution and speed tables of CPoP's critical-path
+    node, MET and FastestNode — still compile here; those values are
+    produced by the very same reference formulas, so equivalence testing
+    is unaffected, and none of them participate in the benchmark's
+    reference timings.)
     """
     import sys
 
@@ -340,14 +350,28 @@ def use_reference_builder():
     def _ref_sort_order(instance):
         return list(nx.topological_sort(instance.task_graph.graph))
 
+    def _ref_tasks(instance):
+        return instance.task_graph.tasks
+
+    def _ref_adjacency(instance):
+        tg = instance.task_graph
+        return (
+            {t: tg.predecessors(t) for t in tg.tasks},
+            {t: tg.successors(t) for t in tg.tasks},
+        )
+
     real_mean_exec = common._mean_exec
     real_mean_comm = common._mean_comm
     real_topological_order = common._topological_order
     real_sort_order = common._sort_order
+    real_tasks = common._tasks
+    real_adjacency = common._adjacency
     common._mean_exec = _ref_mean_exec
     common._mean_comm = _ref_mean_comm
     common._topological_order = _ref_topological_order
     common._sort_order = _ref_sort_order
+    common._tasks = _ref_tasks
+    common._adjacency = _ref_adjacency
     try:
         yield ReferenceScheduleBuilder
     finally:
@@ -355,5 +379,7 @@ def use_reference_builder():
         common._mean_comm = real_mean_comm
         common._topological_order = real_topological_order
         common._sort_order = real_sort_order
+        common._tasks = real_tasks
+        common._adjacency = real_adjacency
         for module, attr, value in patched:
             setattr(module, attr, value)

@@ -74,6 +74,40 @@ class Schedule:
         self._by_task[task] = entry
         return entry
 
+    @classmethod
+    def from_placements(
+        cls,
+        placed: dict[Task, ScheduledTask],
+        by_node: dict[Node, list[ScheduledTask]],
+    ) -> "Schedule":
+        """A schedule of already-built entries, without re-adding them.
+
+        ``placed`` maps every task to its entry in commit order;
+        ``by_node[v]`` lists node ``v``'s entries sorted by time, as
+        :func:`bisect.insort` in commit order leaves them.  The result
+        equals :meth:`add`-ing each entry in commit order: the same
+        checks raise the same errors for the same first entry, and both
+        dicts iterate in the same order (tasks by commit, nodes by first
+        placement).
+        """
+        sched = cls()
+        nodes: dict[Node, list[ScheduledTask]] = {}
+        for entry in placed.values():
+            start, end = entry.start, entry.end
+            if math.isnan(start) or start < 0:
+                raise InvalidScheduleError(
+                    f"start time of {entry.task!r} must be >= 0, got {start}"
+                )
+            if end < start - _TIME_EPS:
+                raise InvalidScheduleError(
+                    f"end time of {entry.task!r} precedes its start ({end} < {start})"
+                )
+            if entry.node not in nodes:
+                nodes[entry.node] = list(by_node[entry.node])
+        sched._by_task = dict(placed)
+        sched._by_node = nodes
+        return sched
+
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

@@ -121,7 +121,9 @@ class ScheduleBuilder:
     Parameters
     ----------
     instance:
-        The problem instance being scheduled.
+        The problem instance being scheduled, or its
+        :class:`~repro.core.compiled.CompiledInstance` (a PISA candidate
+        is only ever a delta-compiled table set).
     insertion:
         If True (default), ``est`` searches idle gaps between already
         committed tasks on a node (HEFT's insertion-based policy); if
@@ -179,7 +181,7 @@ class ScheduleBuilder:
         vid = self._node_id.get(node)
         if tid is None or vid is None:
             # Unknown task/node: defer to the reference path for its error.
-            return exec_time(self.instance, task, node)
+            return exec_time(self._fallback_instance((task,), (node,)), task, node)
         return self._exec_list[tid][vid]
 
     def _comm_time(self, src_task: Task, dst_task: Task, src_node: Node, dst_node: Node) -> float:
@@ -192,7 +194,26 @@ class ScheduleBuilder:
             )
         except KeyError:
             # Unknown dependency/link: defer for the proper error.
-            return comm_time(self.instance, src_task, dst_task, src_node, dst_node)
+            instance = self._fallback_instance((src_task, dst_task), (src_node, dst_node))
+            return comm_time(instance, src_task, dst_task, src_node, dst_node)
+
+    def _fallback_instance(self, tasks: tuple, nodes: tuple = ()) -> ProblemInstance:
+        """The instance a query with an unknown key falls back to.
+
+        The reference functions raise the canonical error for it; an
+        unbound compilation (a PISA candidate) has no instance, so name
+        the first unknown task, node or dependency here instead.
+        """
+        instance = self.compiled.instance
+        if instance is not None:
+            return instance
+        for task in tasks:
+            if task not in self._task_id:
+                raise SchedulingError(f"unknown task {task!r}")
+        for node in nodes:
+            if node not in self._node_id:
+                raise SchedulingError(f"unknown node {node!r}")
+        raise SchedulingError(f"unknown dependency {tasks[0]!r}->{tasks[1]!r}")
 
     # ------------------------------------------------------------------ #
     # State
@@ -237,6 +258,11 @@ class ScheduleBuilder:
         it reflects subsequent commits, so callers must not mutate it.
         """
         return self._avail
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The network's nodes, in the order every batch query follows."""
+        return self._nodes
 
     @property
     def node_str_order(self) -> np.ndarray:
@@ -331,7 +357,8 @@ class ScheduleBuilder:
 
     def _data_ready_time_fallback(self, task: Task, node: Node) -> float:
         """Unknown task/node: the scalar reference path, for its errors."""
-        preds = self.instance.task_graph.predecessors(task)  # unknown task: error
+        instance = self._fallback_instance((task,), (node,))
+        preds = instance.task_graph.predecessors(task)  # unknown task: error
         ready = 0.0
         for pred in preds:
             entry = self._placed.get(pred)
@@ -353,7 +380,8 @@ class ScheduleBuilder:
         preds = (
             self.compiled.preds[tid]
             if tid is not None
-            else self.instance.task_graph.predecessors(task)  # unknown task: error
+            # unknown task: the reference path's error
+            else self._fallback_instance((task,)).task_graph.predecessors(task)
         )
         for pred in preds:
             entry = self._placed.get(pred)
@@ -542,11 +570,13 @@ class ScheduleBuilder:
         return self._makespan
 
     def schedule(self) -> Schedule:
-        """Materialize the final :class:`Schedule`; all tasks must be committed."""
-        missing = self.unscheduled_tasks
-        if missing:
+        """Materialize the final :class:`Schedule`; all tasks must be committed.
+
+        The committed entries are handed over as they are — already
+        time-sorted per node — with :meth:`Schedule.add`'s checks run on
+        each in commit order.
+        """
+        if len(self._placed) != len(self._tasks):
+            missing = self.unscheduled_tasks
             raise SchedulingError(f"tasks left unscheduled: {sorted(map(str, missing))}")
-        sched = Schedule()
-        for entry in self._placed.values():
-            sched.add(entry.task, entry.node, entry.start, entry.end)
-        return sched
+        return Schedule.from_placements(self._placed, self._entries)

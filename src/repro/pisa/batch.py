@@ -29,18 +29,26 @@ entry points over the lockstep kernels of :mod:`repro.core.batched`:
   only when the replay needs it, so a round of depth 1 takes no
   snapshot at all.
 
-Pairs without a lockstep kernel (and objectives other than the plain
-makespan ratio, and parents the kernel cannot stack) run at speculation
-depth 1: each candidate is planned from the parent's compiled tables,
-materialized as a copy of the half it touches, compiled as an
-``apply_delta`` clone of the parent for weight moves, and scored by the
-serial energy.  Inside a kernel round the same lazy path serves the
-candidates the kernel cannot take — structural moves (add/remove
-dependency), non-batchable parents (non-finite weights), and deltas
-``apply_delta`` rejects — lazily, because a speculative candidate *past*
-the first acceptance was drawn from a state the serial annealer never
-visits, so its side effects (including validation errors) must never
-surface.
+The annealer's state is a :class:`~repro.core.compiled.CompiledInstance`,
+never a networkx instance.  Pairs without a lockstep kernel (and parents
+the kernel cannot stack) run at speculation depth 1: each candidate is
+planned from the state's tables, derived from them by ``apply_delta``
+(weight and add/remove-dependency moves alike) and scored by the serial
+energy on that unbound clone — no copy, no recompile.  Inside a kernel
+round the same lazy path serves the candidates the kernel cannot take
+(structural moves, non-finite weights), lazily, because a speculative
+candidate *past* the first acceptance was drawn from a state the serial
+annealer never visits, so its side effects (including validation
+errors) must never surface.
+
+The accepted moves are kept as a chain; the restart's best
+:class:`~repro.core.instance.ProblemInstance` is built once, at the end,
+by replaying the best prefix of that chain onto the initial instance
+(:func:`_replay`, equal to the serial copies down to networkx adjacency
+order).  An objective other than the plain makespan ratio (e.g.
+:class:`~repro.pisa.robustness.RobustnessGapPISA`) still scores
+materialized candidates: each is copied from the current instance, which
+the chain then carries along.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from repro.core.batched import (
     evaluate_batch,
     pair_supported,
 )
-from repro.core.compiled import CompiledInstance, compile_instance
+from repro.core.compiled import NETWORK_KINDS, CompiledInstance, compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.scheduler import Scheduler, get_scheduler
 from repro.pisa.annealing import (
@@ -71,7 +79,13 @@ from repro.pisa.annealing import (
     acceptance_probability,
     require_finite_energy,
 )
-from repro.pisa.perturbations import Delta, PerturbationSet, PlannedMove
+from repro.pisa.perturbations import (
+    STRUCTURAL_KINDS,
+    Delta,
+    PerturbationSet,
+    PlannedMove,
+    apply_delta_mutation,
+)
 from repro.utils import phases
 from repro.utils.rng import as_generator
 
@@ -90,9 +104,7 @@ _START_BATCH = 8
 #: per-round python overhead over enough consumed candidates (measured
 #: crossover: ~3 consumed per pass on both the paper's chain shape and
 #: the benchmark shape), so small-window rounds — the accept-heavy high
-#: temperature phase — evaluate serially, still delta-assisted: the
-#: candidate's compilation is an ``apply_delta`` clone bound to the
-#: materialized copy, not a recompile.
+#: temperature phase — evaluate serially, on ``apply_delta`` clones.
 _KERNEL_MIN = 6
 
 
@@ -182,6 +194,44 @@ def _clone_batchable(clone: CompiledInstance, delta: Delta) -> bool:
     return math.isfinite(clone._inv_strength_sum)  # link_strength
 
 
+def _replay(initial: ProblemInstance, moves: Sequence[PlannedMove]) -> ProblemInstance:
+    """The instance the serial annealer reaches from ``initial`` through
+    the accepted ``moves`` — equal to the chain of ``move.materialize``
+    copies down to networkx adjacency order — built from at most three
+    copies.
+
+    The serial loop copies the half each move touches (both halves for
+    the identity) and then changes the copy.  A copy preserves values
+    and only re-orders adjacency: networkx re-inserts the edges source by
+    source, which sorts every predecessor list, and copying twice equals
+    copying once.  So one network copy takes every network move in
+    place, and one task-graph copy takes every task-graph move but the
+    last; a second copy before the last move leaves the predecessor
+    order that move's own copy leaves (a dependency it adds goes last).
+    """
+    if not moves:
+        return initial
+    t0 = perf_counter() if phases.enabled else 0.0
+    out = ProblemInstance(initial.network, initial.task_graph, name=initial.name)
+    net_moves = [m for m in moves if m.is_identity or m.delta.kind in NETWORK_KINDS]
+    tg_moves = [m for m in moves if m.is_identity or m.delta.kind not in NETWORK_KINDS]
+    if net_moves:
+        out.network = out.network.copy()
+        for move in net_moves:
+            if not move.is_identity:
+                apply_delta_mutation(out, move.delta)
+    if tg_moves:
+        out.task_graph = out.task_graph.copy()
+        for i, move in enumerate(tg_moves):
+            if 0 < i == len(tg_moves) - 1:
+                out.task_graph = out.task_graph.copy()
+            if not move.is_identity:
+                apply_delta_mutation(out, move.delta)
+    if phases.enabled:
+        phases.add("perturb", perf_counter() - t0)
+    return out
+
+
 class SpeculativeAnnealer:
     """PISA's annealer: Algorithm 1 with speculative lockstep evaluation.
 
@@ -206,9 +256,12 @@ class SpeculativeAnnealer:
     config, keep_history:
         As for :class:`~repro.pisa.annealing.SimulatedAnnealing`.
     lockstep:
-        Allow the lockstep kernel (when the pair has one).  The kernel
-        scores the plain makespan ratio, so pass ``False`` when
-        ``energy`` is any other objective.
+        ``energy`` is the plain makespan ratio.  Candidates are then
+        scored from their delta-compiled tables (``energy`` receives the
+        :class:`~repro.core.compiled.CompiledInstance`), and by the
+        lockstep kernel when the pair has one.  Pass ``False`` for any
+        other objective: ``energy`` then receives each candidate
+        materialized as a :class:`ProblemInstance`.
     """
 
     def __init__(
@@ -216,7 +269,7 @@ class SpeculativeAnnealer:
         target: Scheduler | str,
         baseline: Scheduler | str,
         perturbations: PerturbationSet,
-        energy: Callable[[ProblemInstance], float],
+        energy: Callable[[ProblemInstance | CompiledInstance], float],
         config: AnnealingConfig | None = None,
         keep_history: bool = True,
         lockstep: bool = True,
@@ -227,6 +280,7 @@ class SpeculativeAnnealer:
         self.energy = energy
         self.config = config or AnnealingConfig()
         self.keep_history = keep_history
+        self.plain = lockstep
         self.lockstep = lockstep and pair_supported(self.target.name, self.baseline.name)
 
     # ------------------------------------------------------------------ #
@@ -236,8 +290,7 @@ class SpeculativeAnnealer:
         gen = as_generator(rng)
         cfg = self.config
 
-        current = initial
-        compiled = compile_instance(current)
+        compiled = compile_instance(initial)  # the restart's only full build
         ctx = ParentContext(compiled) if self.lockstep else None
         traces: tuple[SchedTrace, SchedTrace] | None = None
         if ctx is not None and ctx.batchable:
@@ -249,10 +302,20 @@ class SpeculativeAnnealer:
             )
             traces = ev.traces_for(0)
         else:
-            current_energy = float(self.energy(current))
+            current_energy = float(self.energy(initial))
         require_finite_energy(current_energy, initial=True)
-        best, best_energy = current, current_energy
+        best_energy = current_energy
         initial_energy = current_energy
+
+        # The state is ``compiled``.  ``chain`` lists the accepted moves
+        # from ``initial`` to it (the best state is ``chain[:best_len]``);
+        # ``current``/``best`` are the states' instances where one was
+        # materialized anyway (always, for an instance-scored objective),
+        # else None: the best one is built once, at the end.
+        chain: list[PlannedMove] = []
+        best_len = 0
+        current: ProblemInstance | None = initial
+        best: ProblemInstance | None = initial
 
         history: list[AnnealingStep] = []
         temperature = cfg.t_max
@@ -275,26 +338,30 @@ class SpeculativeAnnealer:
             for i in range(rounds):
                 if i:
                     pre_plan.append(gen.bit_generator.state)
-                moves.append(self.perturbations.plan(current, gen))
+                moves.append(self.perturbations.plan(compiled, gen))
                 if i < last:
                     pre_u.append(gen.bit_generator.state)
                     draws.append(gen.random())
             if phases.enabled:
                 phases.add("perturb", perf_counter() - t0)
 
-            # -- evaluate the delta-compiled siblings in one pass
+            # -- evaluate the weight-delta siblings in one pass (a clone
+            # whose predecessor lists the move re-sorted stacks too: the
+            # kernels never read predecessor order)
             slot = [-1] * rounds
+            made: list[CompiledInstance | None] = [None] * rounds
             clones: list[CompiledInstance] = []
             deltas: list[Delta] = []
             if kernel and rounds >= _KERNEL_MIN:
                 for i, move in enumerate(moves):
-                    if move.delta is None:
+                    delta = move.delta
+                    if delta is None or delta.kind in STRUCTURAL_KINDS:
                         continue  # identity / structural: resolved in replay
-                    clone = compiled.apply_delta(move.delta)
-                    if clone is not None and _clone_batchable(clone, move.delta):
+                    clone = made[i] = compiled.apply_delta(delta)
+                    if clone is not None and _clone_batchable(clone, delta):
                         slot[i] = len(clones)
                         clones.append(clone)
-                        deltas.append(move.delta)
+                        deltas.append(delta)
             evaluation: BatchEval | None = None
             batch_energies: list[float] = []
             batch_finite = True
@@ -319,8 +386,10 @@ class SpeculativeAnnealer:
             accepted = False
             for i in range(rounds):
                 move = moves[i]
+                clone = None
                 cand_inst: ProblemInstance | None = None
                 if slot[i] >= 0:
+                    clone = clones[slot[i]]
                     candidate_energy = batch_energies[slot[i]]
                     if not batch_finite:
                         require_finite_energy(candidate_energy)
@@ -329,29 +398,37 @@ class SpeculativeAnnealer:
                     # values, same (already validated) energy.
                     candidate_energy = current_energy
                 else:
-                    # Lazy serial path: materialize only now, so a
-                    # candidate past the first acceptance — drawn from a
-                    # state the serial run never visits — has no effect.
-                    # Weight moves bind a delta clone of the parent to the
-                    # copy, so the energy call skips recompilation.
-                    t0 = perf_counter() if phases.enabled else 0.0
-                    cand_inst = move.materialize(current)
-                    if phases.enabled:
-                        phases.add("perturb", perf_counter() - t0)
-                    if move.delta is not None:
-                        compiled.apply_delta(move.delta, instance=cand_inst)
-                    candidate_energy = float(self.energy(cand_inst))
+                    # Lazy serial path: only now, so a candidate past the
+                    # first acceptance — drawn from a state the serial run
+                    # never visits — has no effect.
+                    if self.plain:
+                        clone = made[i] or compiled.apply_delta(move.delta)
+                    if clone is not None:
+                        candidate_energy = float(self.energy(clone))
+                    else:
+                        # An instance-scored objective, or a delta
+                        # apply_delta refuses: the copy's setters and
+                        # validators raise the canonical error.
+                        if current is None:
+                            current = _replay(initial, chain)
+                        t0 = perf_counter() if phases.enabled else 0.0
+                        cand_inst = move.materialize(current)
+                        if phases.enabled:
+                            phases.add("perturb", perf_counter() - t0)
+                        candidate_energy = float(self.energy(cand_inst))
                     require_finite_energy(candidate_energy)
 
                 if candidate_energy > best_energy:
                     # Serial accepts here *without* drawing its uniform.
                     if i < last:
                         gen.bit_generator.state = pre_u[i]
-                    candidate, compiled, ctx, traces = self._accept(
-                        current, move, slot[i], clones, evaluation, cand_inst
+                    compiled, ctx, traces, current = self._accept(
+                        compiled, ctx, traces, current, move, clone, cand_inst,
+                        slot[i], evaluation,
                     )
-                    best, best_energy = candidate, candidate_energy
-                    current, current_energy = candidate, candidate_energy
+                    chain.append(move)
+                    best_len, best, best_energy = len(chain), current, candidate_energy
+                    current_energy = candidate_energy
                     accepted = True
                 else:
                     u = draws[i] if i < last else gen.random()
@@ -363,13 +440,11 @@ class SpeculativeAnnealer:
                         # (the tail past i is pure speculation).
                         if i < last:
                             gen.bit_generator.state = pre_plan[i + 1]
-                        if not move.is_identity:
-                            # (An identity candidate keeps the current
-                            # objects: the serial copy is value-identical
-                            # in every future draw.)
-                            current, compiled, ctx, traces = self._accept(
-                                current, move, slot[i], clones, evaluation, cand_inst
-                            )
+                        compiled, ctx, traces, current = self._accept(
+                            compiled, ctx, traces, current, move, clone, cand_inst,
+                            slot[i], evaluation,
+                        )
+                        chain.append(move)
                         current_energy = candidate_energy
 
                 if self.keep_history:
@@ -391,7 +466,7 @@ class SpeculativeAnnealer:
                 window = min(MAX_BATCH, max(MIN_BATCH, 2 * rounds))
 
         return AnnealingResult(
-            best_state=best,
+            best_state=best if best is not None else _replay(initial, chain[:best_len]),
             best_energy=best_energy,
             initial_energy=initial_energy,
             iterations=iteration,
@@ -401,31 +476,38 @@ class SpeculativeAnnealer:
     # ------------------------------------------------------------------ #
     def _accept(
         self,
-        current: ProblemInstance,
+        compiled: CompiledInstance,
+        ctx: ParentContext | None,
+        traces: Any,
+        current: ProblemInstance | None,
         move: PlannedMove,
+        clone: CompiledInstance | None,
+        cand_inst: ProblemInstance | None,
         slot: int,
-        clones: list[CompiledInstance],
         evaluation: BatchEval | None,
-        cand_inst: ProblemInstance | None = None,
-    ) -> tuple[ProblemInstance, CompiledInstance, ParentContext | None, Any]:
-        """Materialize an accepted non-identity candidate and rebuild the
-        parent-side evaluation state (compiled tables, context, traces).
+    ) -> tuple[CompiledInstance, ParentContext | None, Any, ProblemInstance | None]:
+        """The state after accepting ``move``: its compiled tables, kernel
+        context and traces, and its instance when one exists.
 
-        ``cand_inst`` is the copy a lazy serial evaluation already
-        materialized (with its compilation cached on it); kernel-scored
-        candidates materialize only here, on acceptance.
+        ``clone`` is the candidate's delta compilation (plain objective)
+        and ``cand_inst`` its materialized copy (instance-scored
+        objective, or a refused delta).
         """
-        inst = cand_inst if cand_inst is not None else move.materialize(current)
-        if slot >= 0:
-            compiled = clones[slot]
-            compiled.bind(inst)
-            ctx = ParentContext(compiled)
-            traces = evaluation.traces_for(slot) if ctx.batchable else None
+        if move.is_identity:
+            # The serial annealer continues from a full copy of the state.
+            copied = compiled.copied()
+            if copied is not compiled:
+                compiled = copied
+                ctx = ParentContext(compiled) if self.lockstep else None
+                traces = None
+            return compiled, ctx, traces, None if current is None else current.copy()
+        if cand_inst is not None:
+            compiled = compile_instance(cand_inst)  # cached if the energy compiled it
         else:
-            compiled = compile_instance(inst)
-            ctx = ParentContext(compiled) if self.lockstep else None
-            traces = None
-        return inst, compiled, ctx, traces
+            compiled = clone
+        ctx = ParentContext(compiled) if self.lockstep else None
+        traces = evaluation.traces_for(slot) if slot >= 0 and ctx.batchable else None
+        return compiled, ctx, traces, cand_inst
 
     def _rounds_left(self, temperature: float, iteration: int, cap: int) -> int:
         """How many iterations the serial loop would still run, capped.

@@ -33,15 +33,19 @@ Every operator exposes two equivalent surfaces:
 
 * :meth:`Perturbation.apply` — the classic form: copy, mutate, return.
 * :meth:`Perturbation.plan` — draw *exactly the same* random numbers but
-  defer the copy: the returned :class:`PlannedMove` records the move (as
-  a structured :class:`Delta` when it is a single weight change) and
-  materializes the perturbed instance only on demand.
+  defer the copy: the returned :class:`PlannedMove` records the move as a
+  structured :class:`Delta` (every move but the identity has one, the
+  structural moves included) and materializes the perturbed instance
+  only on demand.
 
-The split is what makes speculative annealing cheap: proposing a
-candidate costs only the RNG draws, the copy is paid only for candidates
-that are evaluated serially or accepted, and the :class:`Delta` feeds
-:meth:`repro.core.compiled.CompiledInstance.apply_delta` so evaluation
-reuses the parent's compiled tables.  ``apply`` is implemented as
+The split is what makes annealing cheap: proposing a candidate costs
+only the RNG draws, and the :class:`Delta` feeds
+:meth:`repro.core.compiled.CompiledInstance.apply_delta`, which derives
+the candidate's compiled tables from the parent's — weight moves and
+add/remove-dependency moves alike.  The annealer scores candidates from
+those tables and never copies one; it materializes only the restart's
+best instance, once, by replaying the accepted deltas
+(:func:`apply_delta_mutation`).  ``apply`` is implemented as
 ``plan(...).materialize(...)``, so the two paths cannot drift.
 
 Plans are drawn from the parent's compiled tables
@@ -58,13 +62,12 @@ mutated after the copy, so sharing is safe.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from repro.core.compiled import CompiledInstance, compile_instance
+from repro.core.compiled import NETWORK_KINDS, CompiledInstance, compile_instance
 from repro.core.instance import ProblemInstance
 from repro.utils import phases
 
@@ -86,20 +89,29 @@ __all__ = [
 MIN_NODE_SPEED = 1e-6
 
 #: Delta kinds understood by ``CompiledInstance.apply_delta``.
-DELTA_KINDS = ("task_weight", "dep_weight", "node_speed", "link_strength")
+DELTA_KINDS = (
+    "task_weight",
+    "dep_weight",
+    "node_speed",
+    "link_strength",
+    "add_dep",
+    "remove_dep",
+)
 
-#: The delta kinds that change the network half of an instance.
-NETWORK_KINDS = ("node_speed", "link_strength")
+#: The delta kinds that change the task graph's edge set.
+STRUCTURAL_KINDS = ("add_dep", "remove_dep")
+
 
 
 @dataclass(frozen=True)
 class Delta:
-    """One weight change: the cell a perturbation touched and its new value.
+    """One move: the cell or edge a perturbation touched and its new value.
 
     ``kind`` selects the table (see :data:`DELTA_KINDS`); ``key`` names
     the cell in graph terms — ``(task,)``, ``(src, dst)``, ``(node,)`` or
-    ``(u, v)``.  Structural moves (add/remove dependency) have no delta:
-    they change table *shapes*, so they recompile from scratch.
+    ``(u, v)``.  The structural kinds key the edge ``(src, dst)``;
+    ``value`` is the new dependency's data size (``add_dep``) or unused
+    (``remove_dep``).
     """
 
     kind: str
@@ -117,6 +129,10 @@ def apply_delta_mutation(instance: ProblemInstance, delta: Delta) -> None:
         instance.network.set_speed(delta.key[0], delta.value)
     elif delta.kind == "link_strength":
         instance.network.set_strength(delta.key[0], delta.key[1], delta.value)
+    elif delta.kind == "add_dep":
+        instance.task_graph.add_dependency(delta.key[0], delta.key[1], delta.value)
+    elif delta.kind == "remove_dep":
+        instance.task_graph.remove_dependency(delta.key[0], delta.key[1])
     else:  # pragma: no cover - Delta construction is internal
         raise ValueError(f"unknown delta kind {delta.kind!r}")
 
@@ -125,8 +141,7 @@ def apply_delta_mutation(instance: ProblemInstance, delta: Delta) -> None:
 class PlannedMove:
     """A perturbation whose randomness is already drawn but whose copy is not.
 
-    ``delta`` is the structured description when the move is a single
-    weight change (``None`` for structural moves and the identity move).
+    ``delta`` describes the move (``None`` only for the identity move).
     :meth:`materialize` produces the perturbed copy — bit-identical to
     what :meth:`Perturbation.apply` would have returned under the same
     generator state, because ``apply`` *is* ``plan().materialize()``.
@@ -134,12 +149,11 @@ class PlannedMove:
 
     op_name: str
     delta: Delta | None = None
-    mutate: Callable[[ProblemInstance], None] | None = field(default=None, compare=False)
 
     @property
     def is_identity(self) -> bool:
         """No operator applied: the candidate equals its parent."""
-        return self.delta is None and self.mutate is None
+        return self.delta is None
 
     def materialize(self, parent: ProblemInstance) -> ProblemInstance:
         """The perturbed instance: a copy of the half the move touches.
@@ -150,15 +164,12 @@ class PlannedMove:
         if self.is_identity:
             return parent.copy()
         network, task_graph = parent.network, parent.task_graph
-        if self.delta is not None and self.delta.kind in NETWORK_KINDS:
+        if self.delta.kind in NETWORK_KINDS:
             network = network.copy()
         else:
             task_graph = task_graph.copy()
         out = ProblemInstance(network=network, task_graph=task_graph, name=parent.name)
-        if self.delta is not None:
-            apply_delta_mutation(out, self.delta)
-        else:
-            self.mutate(out)
+        apply_delta_mutation(out, self.delta)
         return out
 
 
@@ -307,11 +318,7 @@ class AddDependency(Perturbation):
             if partners:
                 dst = tasks[partners[int(rng.integers(len(partners)))]]
                 weight = float(rng.uniform(self.low, self.high))
-
-                def mutate(out: ProblemInstance, _s=tasks[src_id], _d=dst, _w=weight) -> None:
-                    out.task_graph.add_dependency(_s, _d, _w)
-
-                return PlannedMove(self.name, mutate=mutate)
+                return PlannedMove(self.name, Delta("add_dep", (tasks[src_id], dst), weight))
         return PlannedMove(self.name)  # complete DAG: nothing to add
 
 
@@ -325,11 +332,8 @@ class RemoveDependency(Perturbation):
 
     def plan(self, tables: CompiledInstance, rng: np.random.Generator) -> PlannedMove:
         sid, did = tables.dep_ids[int(rng.integers(len(tables.dep_ids)))]
-
-        def mutate(out: ProblemInstance, _s=tables.tasks[sid], _d=tables.tasks[did]) -> None:
-            out.task_graph.remove_dependency(_s, _d)
-
-        return PlannedMove(self.name, mutate=mutate)
+        key = (tables.tasks[sid], tables.tasks[did])
+        return PlannedMove(self.name, Delta("remove_dep", key, 0.0))
 
 
 class PerturbationSet:
@@ -353,13 +357,16 @@ class PerturbationSet:
             phases.add("perturb", perf_counter() - t0)
         return mutated
 
-    def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
+    def plan(
+        self, instance: ProblemInstance | CompiledInstance, rng: np.random.Generator
+    ) -> PlannedMove:
         """Draw one move (same RNG stream as :meth:`perturb`) without copying.
 
-        Reads ``instance``'s compiled tables (a cache hit for any
-        annealing state).  The identity move (no applicable operator)
-        materializes to a plain copy, matching what :meth:`perturb`
-        always returned in that case.
+        Reads ``instance``'s compiled tables (the annealer passes its
+        state's :class:`~repro.core.compiled.CompiledInstance` itself).
+        The identity move (no applicable operator) materializes to a
+        plain copy, matching what :meth:`perturb` always returned in that
+        case.
         """
         tables = compile_instance(instance)
         candidates = [op for op in self.operators if op.applicable(tables)]

@@ -22,6 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.benchmarking.metrics import makespan_ratio
+from repro.core.compiled import CompiledInstance
 from repro.core.instance import ProblemInstance
 from repro.core.scheduler import Scheduler, get_scheduler
 from repro.pisa.annealing import AnnealingConfig, AnnealingResult
@@ -50,11 +51,11 @@ class PISAConfig:
     runtime work units default to history-off; the Fig. 5/6 trajectory
     analyses (and ``SweepSpec`` runs that request it) switch it on.
 
-    ``batch`` allows the lockstep kernel of
-    :class:`~repro.pisa.batch.SpeculativeAnnealer` (PISA's only annealer)
-    for scheduler pairs that have one.  Switching it off only turns the
-    kernel off — every candidate is then scored serially — and results
-    stay bit-identical either way (pinned by
+    ``batch`` lets :class:`~repro.pisa.batch.SpeculativeAnnealer` (PISA's
+    only annealer) score candidates from their delta-compiled tables, and
+    through the lockstep kernel for scheduler pairs that have one.
+    Switching it off scores every candidate serially on a materialized
+    copy; results stay bit-identical either way (pinned by
     ``tests/test_batched_annealing.py``).
     """
 
@@ -148,12 +149,13 @@ class PISA:
         self.initial_factory = initial_factory or random_chain_instance
 
     # ------------------------------------------------------------------ #
-    def energy(self, instance: ProblemInstance) -> float:
+    def energy(self, instance: ProblemInstance | CompiledInstance) -> float:
         """Makespan ratio of target over baseline on ``instance``.
 
         Both schedules run over the instance's shared
         :class:`~repro.core.compiled.CompiledInstance` kernel — the
-        candidate is compiled once and scheduled twice.
+        candidate is compiled once and scheduled twice.  The annealer
+        passes each candidate's delta-compiled tables themselves.
         """
         t0 = perf_counter() if phases.enabled else 0.0
         target_ms = self.target.schedule(instance).makespan
@@ -177,7 +179,7 @@ class PISA:
             energy=self.energy,
             config=self.config.annealing,
             keep_history=self.config.keep_history,
-            # The kernel scores the plain makespan ratio only.
+            # Compiled-table scoring and the kernel assume the plain ratio.
             lockstep=self.config.batch and type(self).energy is PISA.energy,
         )
         initial = apply_initial_constraints(self.initial_factory(gen), self.constraints)

@@ -62,7 +62,7 @@ class BILScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
         compiled = compile_instance(instance)
-        nodes = list(instance.network.nodes)
+        nodes = list(compiled.nodes)
         ranks = builder.node_str_order
         bil = self._static_bil(instance)
         m = len(nodes)
@@ -103,16 +103,15 @@ class BILScheduler(Scheduler):
         zero-cost move candidate, so the explicit ``min(stay, move)`` of
         the scalar formulation is subsumed (and kept for exactness).
         """
-        tg = instance.task_graph
         compiled = compile_instance(instance)
         strength = compiled.strength
         bil: dict[object, np.ndarray] = {}
         for task in reversed(compiled.sort_order):
             tid = compiled.task_id[task]
             acc = None
-            for s in tg.successors(task):
+            for s, sid in zip(compiled.succs[tid], compiled.succ_ids[tid]):
                 stay_row = bil[s]
-                data = compiled.data[(tid, compiled.task_id[s])]
+                data = compiled.data[(tid, sid)]
                 if data == 0.0:
                     # Zero data moves for free: move = min(bil) everywhere.
                     term = np.minimum(stay_row, stay_row.min())

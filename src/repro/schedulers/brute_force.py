@@ -20,11 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 
+from repro.core.compiled import compile_instance
 from repro.core.exceptions import SchedulingError
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
 from repro.core.simulator import ScheduleBuilder
+from repro.schedulers.common import task_digraph
 from repro.utils.topo import all_linear_extensions
 
 __all__ = ["BruteForceScheduler"]
@@ -56,8 +58,9 @@ class BruteForceScheduler(Scheduler):
         self.max_evaluations = max_evaluations
 
     def schedule(self, instance: ProblemInstance) -> Schedule:
-        tasks = instance.task_graph.tasks
-        nodes = instance.network.nodes
+        compiled = compile_instance(instance)
+        tasks = compiled.tasks
+        nodes = compiled.nodes
         num_assignments = len(nodes) ** len(tasks)
         # #extensions <= |T|!; cheap upper bound for the guard.
         bound = num_assignments * math.factorial(len(tasks))
@@ -69,7 +72,7 @@ class BruteForceScheduler(Scheduler):
 
         best_schedule: Schedule | None = None
         best_makespan = math.inf
-        for extension in all_linear_extensions(instance.task_graph.graph):
+        for extension in all_linear_extensions(task_digraph(instance)):
             for assignment in itertools.product(nodes, repeat=len(extension)):
                 builder = ScheduleBuilder(instance, insertion=False)
                 for task, node in zip(extension, assignment):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
+import networkx as nx
+
 from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 
@@ -21,6 +23,7 @@ __all__ = [
     "static_level",
     "priority_order",
     "critical_path_tasks",
+    "task_digraph",
 ]
 
 Task = Hashable
@@ -52,6 +55,28 @@ def _sort_order(instance: ProblemInstance) -> tuple[Task, ...]:
     return compile_instance(instance).sort_order
 
 
+def _tasks(instance: ProblemInstance) -> tuple[Task, ...]:
+    """Compiled-cache route to ``task_graph.tasks``."""
+    return compile_instance(instance).tasks
+
+
+def _adjacency(instance: ProblemInstance) -> tuple[dict, dict]:
+    """Compiled-cache route to ``({t: predecessors(t)}, {t: successors(t)})``."""
+    return compile_instance(instance).adjacency()
+
+
+def task_digraph(instance: ProblemInstance) -> nx.DiGraph:
+    """The task graph's edges as a bare :class:`networkx.DiGraph` (tasks in
+    graph order, each task's successors in graph order), read from the
+    compiled tables — the enumeration input of the exponential oracles."""
+    compiled = compile_instance(instance)
+    tasks = compiled.tasks
+    graph = nx.DiGraph()
+    graph.add_nodes_from(tasks)
+    graph.add_edges_from((tasks[u], tasks[v]) for u, v in compiled.dep_ids)
+    return graph
+
+
 def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
     """HEFT's upward rank ``rank_u``.
 
@@ -60,11 +85,11 @@ def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
     upward rank of a task is the length (in average time) of the longest
     chain from the task to the end of the graph.
     """
-    graph = instance.task_graph.graph
+    succs = _adjacency(instance)[1]
     ranks: dict[Task, float] = {}
     for task in reversed(_sort_order(instance)):
         succ_part = max(
-            (_mean_comm(instance, task, s) + ranks[s] for s in graph.successors(task)),
+            (_mean_comm(instance, task, s) + ranks[s] for s in succs[task]),
             default=0.0,
         )
         ranks[task] = _mean_exec(instance, task) + succ_part
@@ -78,13 +103,13 @@ def downward_rank(instance: ProblemInstance) -> dict[Task, float]:
     and 0 for entry tasks.  ``rank_u(t) + rank_d(t)`` is the length of the
     longest average-time path through ``t``.
     """
-    graph = instance.task_graph.graph
+    preds = _adjacency(instance)[0]
     ranks: dict[Task, float] = {}
     for task in _sort_order(instance):
         ranks[task] = max(
             (
                 ranks[p] + _mean_exec(instance, p) + _mean_comm(instance, p, task)
-                for p in graph.predecessors(task)
+                for p in preds[task]
             ),
             default=0.0,
         )
@@ -97,10 +122,10 @@ def static_level(instance: ProblemInstance) -> dict[Task, float]:
     Like the upward rank but ignoring communication — the SL term of GDL's
     dynamic level, also used as the tie-breaking priority in ETF.
     """
-    graph = instance.task_graph.graph
+    succs = _adjacency(instance)[1]
     levels: dict[Task, float] = {}
     for task in reversed(_sort_order(instance)):
-        succ_part = max((levels[s] for s in graph.successors(task)), default=0.0)
+        succ_part = max((levels[s] for s in succs[task]), default=0.0)
         levels[task] = _mean_exec(instance, task) + succ_part
     return levels
 
@@ -114,7 +139,7 @@ def priority_order(instance: ProblemInstance, ranks: dict[Task, float]) -> list[
     between a task and its descendant.
     """
     topo_index = {t: i for i, t in enumerate(_topological_order(instance))}
-    return sorted(instance.task_graph.tasks, key=lambda t: (-ranks[t], topo_index[t]))
+    return sorted(_tasks(instance), key=lambda t: (-ranks[t], topo_index[t]))
 
 
 def critical_path_tasks(
@@ -131,7 +156,7 @@ def critical_path_tasks(
     is reached.  Only tasks actually on the walked path are returned, which
     matters when several disjoint chains happen to have equal length.
     """
-    priority = {t: rank_u[t] + rank_d[t] for t in instance.task_graph.tasks}
+    priority = {t: rank_u[t] + rank_d[t] for t in _tasks(instance)}
     if not priority:
         return set()
     cp_value = max(priority.values())
@@ -140,13 +165,14 @@ def critical_path_tasks(
     def on_cp(task: Task) -> bool:
         return abs(priority[task] - cp_value) <= tol
 
-    entries = [t for t in instance.task_graph.source_tasks if on_cp(t)]
+    preds, succs = _adjacency(instance)
+    entries = [t for t in priority if not preds[t] and on_cp(t)]
     if not entries:  # degenerate (shouldn't happen): fall back to the level set
         return {t for t in priority if on_cp(t)}
     current = min(entries, key=str)
     path = {current}
     while True:
-        nxt = [s for s in instance.task_graph.successors(current) if on_cp(s)]
+        nxt = [s for s in succs[current] if on_cp(s)]
         if not nxt:
             break
         current = min(nxt, key=str)

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import heapq
 
+from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder, exec_time
+from repro.core.simulator import ScheduleBuilder
+from repro.schedulers import common
 from repro.schedulers.common import critical_path_tasks, downward_rank, upward_rank
 
 __all__ = ["CPoPScheduler"]
@@ -43,15 +45,22 @@ class CPoPScheduler(Scheduler):
         builder = ScheduleBuilder(instance, insertion=True)
         rank_u = upward_rank(instance)
         rank_d = downward_rank(instance)
-        priority = {t: rank_u[t] + rank_d[t] for t in instance.task_graph.tasks}
+        priority = {t: rank_u[t] + rank_d[t] for t in common._tasks(instance)}
         cp_set = critical_path_tasks(instance, rank_u, rank_d)
 
         # Critical-path processor: minimizes the summed execution time of the
         # CP tasks (== the fastest node under related machines).
-        cp_node = min(
-            instance.network.nodes,
-            key=lambda v: (sum(exec_time(instance, t, v) for t in cp_set), str(v)),
+        compiled = compile_instance(instance)
+        exec_list, task_id = compiled.exec_list, compiled.task_id
+        cp_ids = [task_id[t] for t in cp_set]
+        cp_vid = min(
+            range(len(compiled.nodes)),
+            key=lambda vid: (
+                sum(exec_list[tid][vid] for tid in cp_ids),
+                str(compiled.nodes[vid]),
+            ),
         )
+        cp_node = compiled.nodes[cp_vid]
 
         # Ready queue ordered by decreasing priority (heapq is a min-heap, so
         # negate); tie-break by insertion order for determinism.

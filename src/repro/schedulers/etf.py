@@ -45,7 +45,7 @@ class ETFScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
         levels = static_level(instance)
-        nodes = instance.network.nodes
+        nodes = builder.nodes
         while True:
             ready = builder.ready_tasks()
             if not ready:

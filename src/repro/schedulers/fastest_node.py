@@ -9,6 +9,7 @@ HEFT is 4.34x worse than this trivial algorithm (Section VI-A).
 
 from __future__ import annotations
 
+from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
@@ -34,7 +35,9 @@ class FastestNodeScheduler(Scheduler):
 
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
-        node = instance.network.fastest_node
+        # Network.fastest_node: the first node of maximum speed.
+        compiled = compile_instance(instance)
+        node = compiled.nodes[int(compiled.speed.argmax())]
         for task in common._topological_order(instance):
             builder.commit(task, node)
         return builder.schedule()

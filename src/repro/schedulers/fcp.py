@@ -40,7 +40,7 @@ def candidate_nodes(builder: ScheduleBuilder, task) -> list:
     ranked argmin reproduces the ``(available, str(node))`` tie-break of
     the scalar ``min()`` this replaced.
     """
-    nodes = builder.instance.network.nodes
+    nodes = builder.nodes
     first_idle = nodes[argmin_ranked(builder.node_available_all(), builder.node_str_order)]
     candidates = [first_idle]
     enabling = _enabling_node(builder, task)
@@ -53,7 +53,7 @@ def _enabling_node(builder: ScheduleBuilder, task):
     """Node of the parent whose message (by average comm time) arrives last."""
     compiled = compile_instance(builder.instance)
     best = None
-    for pred in builder.instance.task_graph.predecessors(task):
+    for pred in compiled.preds[compiled.task_id[task]]:
         entry = builder.placement(pred)
         arrival = entry.end + compiled.mean_comm(pred, task)
         if best is None or arrival > best[0]:

@@ -51,8 +51,8 @@ class GDLScheduler(Scheduler):
         builder = ScheduleBuilder(instance, insertion=False)
         compiled = compile_instance(instance)
         levels = static_level(instance)
-        mean_w = {t: compiled.mean_exec(t) for t in instance.task_graph.tasks}
-        nodes = instance.network.nodes
+        mean_w = {t: compiled.mean_exec(t) for t in compiled.tasks}
+        nodes = compiled.nodes
         ranks = builder.node_str_order
         while True:
             ready = builder.ready_tasks()

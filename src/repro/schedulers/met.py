@@ -12,10 +12,11 @@ why the original authors describe MET as prone to severe load imbalance.
 
 from __future__ import annotations
 
+from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder, exec_time
+from repro.core.simulator import ScheduleBuilder
 from repro.schedulers import common
 
 __all__ = ["METScheduler"]
@@ -37,8 +38,10 @@ class METScheduler(Scheduler):
 
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
-        nodes = instance.network.nodes
+        compiled = compile_instance(instance)
+        nodes = compiled.nodes
         for task in common._topological_order(instance):
-            node = min(nodes, key=lambda v: (exec_time(instance, task, v), str(v)))
-            builder.commit(task, node)
+            row = compiled.exec_list[compiled.task_id[task]]
+            vid = min(range(len(nodes)), key=lambda i: (row[i], str(nodes[i])))
+            builder.commit(task, nodes[vid])
         return builder.schedule()

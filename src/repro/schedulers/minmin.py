@@ -38,7 +38,7 @@ def minmax_completion_pass(builder: ScheduleBuilder, take_max: bool) -> None:
     reproduces the ``(eft, str(node))`` tie-break of the scalar ``min()``
     this replaced.
     """
-    nodes = builder.instance.network.nodes
+    nodes = builder.nodes
     order = builder.node_str_order
     while True:
         ready = builder.ready_tasks()

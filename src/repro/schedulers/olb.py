@@ -37,7 +37,7 @@ class OLBScheduler(Scheduler):
 
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
-        nodes = instance.network.nodes
+        nodes = builder.nodes
         for task in common._topological_order(instance):
             node = min(nodes, key=lambda v: (builder.node_available(v), str(v)))
             builder.commit(task, node)

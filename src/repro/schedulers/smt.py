@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 
+from repro.core.compiled import compile_instance
 from repro.core.exceptions import SchedulingError
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
 from repro.core.simulator import ScheduleBuilder
+from repro.schedulers.common import task_digraph
 from repro.utils.topo import longest_path_length
 
 __all__ = ["SMTScheduler"]
@@ -100,28 +102,31 @@ class SMTScheduler(Scheduler):
     @staticmethod
     def _lower_bound(instance: ProblemInstance) -> float:
         """max(critical path at max speed, total work / total speed)."""
-        net, tg = instance.network, instance.task_graph
-        smax = max(net.speed(v) for v in net.nodes)
+        compiled = compile_instance(instance)
+        speeds, costs = compiled.speed.tolist(), compiled.cost_list
+        smax = max(speeds)
         cp = longest_path_length(
-            tg.graph, {t: tg.cost(t) / smax for t in tg.tasks}
+            task_digraph(instance), {t: c / smax for t, c in zip(compiled.tasks, costs)}
         )
-        area = tg.total_cost() / sum(net.speed(v) for v in net.nodes)
+        area = float(sum(costs)) / sum(speeds)
         return max(cp, area)
 
     def _decide(self, instance: ProblemInstance, bound: float) -> Schedule | None:
         """Return a schedule with makespan <= bound, or None if none found."""
         import networkx as nx
 
-        smax = max(instance.network.speed(v) for v in instance.network.nodes)
+        compiled = compile_instance(instance)
+        cost = dict(zip(compiled.tasks, compiled.cost_list))
+        smax = max(compiled.speed.tolist())
         # Optimistic remaining time at/below each task: its critical path
         # executed on the fastest node with free communication.
         tail: dict = {}
-        graph = instance.task_graph.graph
+        graph = task_digraph(instance)
         for task in reversed(list(nx.topological_sort(graph))):
             succ = max((tail[s] for s in graph.successors(task)), default=0.0)
-            tail[task] = instance.task_graph.cost(task) / smax + succ
+            tail[task] = cost[task] / smax + succ
 
-        nodes = instance.network.nodes
+        nodes = compiled.nodes
 
         # ScheduleBuilder is append-only, so instead of undoing commits we
         # replay the committed prefix at each branch point.  At oracle scale
@@ -150,7 +155,7 @@ class SMTScheduler(Scheduler):
                     finish = builder.eft(task, node)
                     if math.isinf(finish):
                         continue
-                    remaining_after = tail[task] - instance.task_graph.cost(task) / smax
+                    remaining_after = tail[task] - cost[task] / smax
                     if finish + remaining_after > bound * (1 + 1e-12):
                         continue
                     result = dfs_clone(committed + [(task, node)])

@@ -65,7 +65,7 @@ class WBAScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         rng = as_generator(self.seed)
         builder = ScheduleBuilder(instance, insertion=False)
-        nodes = instance.network.nodes
+        nodes = builder.nodes
         while True:
             ready = builder.ready_tasks()
             if not ready:

@@ -368,3 +368,145 @@ def test_pisa_config_batch_round_trips_through_spec():
         assert _config_from_dict(data, "config").batch is flag
     # Default stays on when the key is absent (older spec files).
     assert _config_from_dict({"restarts": 2}, "config").batch is True
+
+
+# --------------------------------------------------------------------- #
+# Candidates are scored from compiled tables; the best state is built once
+# --------------------------------------------------------------------- #
+def _structural_heavy():
+    from repro.pisa.perturbations import (
+        AddDependency,
+        ChangeNetworkNodeWeight,
+        ChangeTaskWeight,
+        PerturbationSet,
+        RemoveDependency,
+    )
+
+    return PerturbationSet(
+        [AddDependency(), RemoveDependency(), ChangeTaskWeight(), ChangeNetworkNodeWeight()]
+    )
+
+
+def _adjacency(instance):
+    """Everything networkx iteration order exposes of an instance."""
+    tg, net = instance.task_graph.graph, instance.network.graph
+    return (
+        instance.to_dict(),
+        [list(tg.pred[v]) for v in tg],
+        [list(tg.succ[u]) for u in tg],
+        list(tg.edges),
+        list(net.edges),
+        [list(net.adj[v]) for v in net],
+    )
+
+
+@pytest.mark.parametrize(
+    "target,baseline",
+    [("HEFT", "MinMin"), ("FCP", "FLB"), ("CPoP", "MET"), ("WBA", "GDL"), ("BIL", "OLB")],
+)
+def test_best_state_equals_the_serial_copies_on_structural_runs(target, baseline):
+    """The best instance, built once from the accepted moves, equals the
+    frozen loop's chain of copies down to networkx adjacency order: the
+    predecessor order a task-graph copy re-sorts and an added edge
+    extends, successor and edge order, the network's edge order."""
+    cfg = AnnealingConfig(alpha=0.93)
+    for seed in (0, 1, 2):
+        pisa = _pisa(target, baseline, cfg, perturbations=_structural_heavy())
+        gens = [as_generator(seed), as_generator(seed)]
+        reference = _reference_restart(pisa, gens[0])
+        result = pisa.run_restart(rng=gens[1])
+        _assert_same_trajectory(reference, result)
+        assert _adjacency(result.best_state) == _adjacency(reference.best_state)
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert result.best_state.name == reference.best_state.name
+
+
+def test_identity_moves_match_the_serial_copies():
+    """On a complete DAG, AddDependency has no legal edge: the move is
+    the identity (a full copy in the serial loop) and may be accepted
+    between structural moves."""
+    from repro import Network, ProblemInstance, TaskGraph
+    from repro.pisa.perturbations import AddDependency, PerturbationSet, RemoveDependency
+
+    def complete_dag(rng):
+        gen = as_generator(rng)
+        tg = TaskGraph()
+        for name in ("c", "a", "b"):
+            tg.add_task(name, float(gen.uniform(0.1, 1.0)))
+        for u, v in (("a", "b"), ("c", "b"), ("c", "a")):
+            tg.add_dependency(u, v, float(gen.uniform(0.1, 1.0)))
+        net = Network.from_speeds({"x": 1.0, "y": 0.5}, default_strength=0.7)
+        return ProblemInstance(net, tg, name="complete")
+
+    ops = PerturbationSet([AddDependency(), RemoveDependency()])
+    for batch in (True, False):
+        pisa = _pisa(
+            "HEFT", "CPoP", AnnealingConfig(alpha=0.9), batch=batch,
+            perturbations=ops, initial_factory=complete_dag,
+        )
+        for seed in range(4):
+            gens = [as_generator(seed), as_generator(seed)]
+            reference = _reference_restart(pisa, gens[0])
+            result = pisa.run_restart(rng=gens[1])
+            _assert_same_trajectory(reference, result)
+            assert _adjacency(result.best_state) == _adjacency(reference.best_state)
+
+
+@pytest.mark.parametrize("target,baseline", [("HEFT", "MinMin"), ("CPoP", "FCP")])
+def test_plain_fig4_restart_compiles_once(target, baseline):
+    """One plain-ratio restart at the fig4 preset's scale makes exactly
+    one full compile — its initial instance's: every candidate is an
+    ``apply_delta`` clone, and the best instance is never compiled."""
+    from repro.core.compiled import compile_stats, reset_compile_stats
+    from repro.sweeps.presets import fig4_spec
+
+    pisa = PISA(target, baseline, config=fig4_spec().config)
+    reset_compile_stats()
+    result = pisa.run_restart(rng=0)
+    stats = compile_stats()
+    assert stats["full"] == 1
+    assert stats["delta"] > 0
+    assert result.iterations > 0
+    # The best instance (built after the fact) re-scores to its energy.
+    assert pisa.energy(result.best_state.copy()) == result.best_energy
+
+
+def test_profile_phases_are_exclusive_on_fig4(monkeypatch):
+    """``--profile`` phases never nest on a fig4-mode sweep (structural
+    moves on): no compile, full or delta, runs inside a scored energy —
+    the "compile" phase used to nest inside "schedule" — so the phase
+    totals cannot add up to more than the wall time."""
+    from time import perf_counter
+
+    from repro.core.compiled import compile_stats
+    from repro.sweeps import run_sweep
+    from repro.sweeps.presets import fig4_spec
+    from repro.utils import phases
+
+    nested = []
+    real_energy = PISA.energy
+
+    def energy(self, instance):
+        before = compile_stats()
+        value = real_energy(self, instance)
+        after = compile_stats()
+        nested.append(after["full"] + after["delta"] - before["full"] - before["delta"])
+        return value
+
+    monkeypatch.setattr(PISA, "energy", energy)
+    config = PISAConfig(annealing=AnnealingConfig(max_iterations=40, alpha=0.9), restarts=1)
+    spec = fig4_spec(schedulers=["HEFT", "MinMin", "CPoP", "FCP", "BIL"], config=config)
+    phases.reset()
+    phases.enable()
+    try:
+        t0 = perf_counter()
+        run_sweep(spec)
+        wall = perf_counter() - t0
+    finally:
+        phases.disable()
+    table = phases.snapshot()
+    phases.reset()
+    assert len(nested) > 100 and not any(nested)
+    assert {"compile", "perturb", "schedule"} <= set(table)
+    total = sum(entry["seconds"] for entry in table.values())
+    assert 0.0 < total <= wall, (total, wall, table)

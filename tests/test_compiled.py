@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,9 +374,12 @@ class TestScheduleEquivalence:
         compiled_run = pairwise_comparison(
             FIG4_SCHEDULERS[:3], config=FIG4_CONFIG, rng=FIG4_SEED
         )
+        # The frozen builder takes instances only, so its side scores every
+        # candidate materialized (batch=False: no compiled-table scoring,
+        # no lockstep kernel) — all of them through the reference builder.
         with use_reference_builder():
             reference_run = pairwise_comparison(
-                FIG4_SCHEDULERS[:3], config=FIG4_CONFIG, rng=FIG4_SEED
+                FIG4_SCHEDULERS[:3], config=replace(FIG4_CONFIG, batch=False), rng=FIG4_SEED
             )
         for pair, result in compiled_run.results.items():
             assert reference_run.results[pair].restart_ratios == result.restart_ratios

@@ -10,17 +10,27 @@ deltas; equality is exact (``==``), never approximate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiled import compile_instance, compile_stats, reset_compile_stats
-from repro.pisa.perturbations import MIN_NODE_SPEED, Delta, apply_delta_mutation
+from repro import Network, ProblemInstance, TaskGraph
+from repro.core.compiled import (
+    CompiledInstance,
+    compile_instance,
+    compile_stats,
+    reset_compile_stats,
+)
+from repro.core.exceptions import InvalidInstanceError, SchedulingError
+from repro.pisa.perturbations import (
+    MIN_NODE_SPEED,
+    Delta,
+    PlannedMove,
+    apply_delta_mutation,
+)
 
-from tests.strategies import instances
+from tests.strategies import instances, networks
 
 #: Every array/list/scalar a delta clone could plausibly get wrong.
 _COMPARED = (
@@ -114,8 +124,6 @@ def test_link_strength_delta_matches_fresh_compile(inst, value, data):
 # Rejections and bookkeeping
 # --------------------------------------------------------------------- #
 def _tiny_instance():
-    from repro import Network, ProblemInstance, TaskGraph
-
     tg = TaskGraph()
     tg.add_task("a", 1.0)
     tg.add_task("b", 0.5)
@@ -159,16 +167,241 @@ def test_compile_stats_counters():
     assert stats["delta"] == 1
 
 
-def test_unbound_clone_binds_on_accept():
+def test_unbound_clone_is_scored_as_its_own_instance():
+    """An unbound clone stands in for the materialized candidate: it is
+    its own compilation (a counted cache hit), and schedulers score it
+    exactly like the copy it describes."""
+    from repro.core.scheduler import get_scheduler
+
     inst = _tiny_instance()
     compiled = compile_instance(inst)
     delta = Delta("task_weight", ("a",), 0.75)
     clone = compiled.apply_delta(delta)
     assert clone.instance is None  # unbound: tables only
+    reset_compile_stats()
+    assert compile_instance(clone) is clone
+    assert compile_stats() == {"full": 0, "delta": 0, "cache_hits": 1}
     perturbed = inst.copy()
     apply_delta_mutation(perturbed, delta)
-    clone.bind(perturbed)
-    assert clone.instance is perturbed
-    # bind() installs the clone as the instance's compile cache.
-    assert compile_instance(perturbed) is clone
-    assert clone.matches(perturbed)
+    for name in ("HEFT", "CPoP", "FCP", "BIL", "FastestNode", "BruteForce", "SMT"):
+        scheduler = get_scheduler(name)
+        assert scheduler.schedule(clone).to_dict() == scheduler.schedule(perturbed).to_dict()
+
+
+# --------------------------------------------------------------------- #
+# Every slot, every delta kind, against the materialized move
+# --------------------------------------------------------------------- #
+#: Slots that tie a compilation to an instance (or its shape cache), not
+#: to the tables: an unbound clone differs there by design.
+_BINDING = {"instance", "_task_graph", "_network", "_tg_version", "_net_version", "shape_cache"}
+
+
+@st.composite
+def shuffled_edge_instances(draw, max_tasks: int = 7):
+    """Instances whose dependencies were inserted in random order, so the
+    predecessor lists are *not* sorted by source (as after an added edge)."""
+    n = draw(st.integers(2, max_tasks))
+    names = [f"t{i}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    tg = TaskGraph()
+    for name in names:
+        tg.add_task(name, draw(_values))
+    for u, v in edges:
+        tg.add_dependency(u, v, draw(_values))
+    return ProblemInstance(draw(networks(1, 3)), tg, name="shuffled")
+
+
+def _assert_all_slots_equal(clone: CompiledInstance, fresh: CompiledInstance, why) -> None:
+    for name in CompiledInstance.__slots__:
+        if name in _BINDING:
+            continue
+        got, want = getattr(clone, name), getattr(fresh, name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape, (name, why)
+            assert (got == want).all(), (name, why)
+        elif isinstance(want, dict):
+            # Iteration order is part of the contract (graph edge order).
+            assert list(got.items()) == list(want.items()), (name, why)
+        else:
+            assert got == want, (name, why)
+
+
+def _delta_for(inst, kind: str, data) -> Delta | None:
+    tasks, deps = inst.task_graph.tasks, inst.task_graph.dependencies
+    nodes, links = inst.network.nodes, inst.network.links
+    value = data.draw(_values)
+    if kind == "task_weight":
+        return Delta(kind, (data.draw(st.sampled_from(tasks)),), value)
+    if kind in ("dep_weight", "remove_dep"):
+        return Delta(kind, data.draw(st.sampled_from(deps)), value) if deps else None
+    if kind == "node_speed":
+        return Delta(kind, (data.draw(st.sampled_from(nodes)),), max(value, MIN_NODE_SPEED))
+    if kind == "link_strength":
+        return Delta(kind, data.draw(st.sampled_from(links)), value) if links else None
+    src, dst = data.draw(st.sampled_from(tasks)), data.draw(st.sampled_from(tasks))
+    return Delta(kind, (src, dst), value)  # add_dep, legal or not
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=shuffled_edge_instances(),
+    kind=st.sampled_from(
+        ["task_weight", "dep_weight", "node_speed", "link_strength", "add_dep", "remove_dep"]
+    ),
+    data=st.data(),
+)
+def test_every_delta_matches_a_fresh_compile_of_the_materialized_move(inst, kind, data):
+    """``apply_delta`` equals a fresh compile of ``move.materialize`` on
+    every slot — including the order of ``data`` and of each predecessor
+    tuple, which a task-graph copy re-sorts and an added edge extends."""
+    delta = _delta_for(inst, kind, data)
+    if delta is None:
+        return
+    parent = compile_instance(inst)
+    clone = parent.apply_delta(delta)
+    try:
+        materialized = PlannedMove(kind, delta).materialize(inst)
+    except InvalidInstanceError:
+        # Self-dependency or cycle: the setter's error.
+        assert clone is None, delta
+        return
+    if kind == "add_dep" and delta.key in inst.task_graph.dependencies:
+        # networkx re-adding an edge only updates its weight; no plan
+        # draws one, so apply_delta refuses and the caller materializes.
+        assert clone is None, delta
+        return
+    assert clone is not None, delta
+    _assert_all_slots_equal(clone, compile_instance(materialized), delta)
+    # A chain of moves stays exact: derive again from the clone.
+    follow = _delta_for(materialized, data.draw(st.sampled_from(["task_weight", "remove_dep"])), data)
+    if follow is not None:
+        again = clone.apply_delta(follow)
+        assert again is not None
+        twice = PlannedMove("follow", follow).materialize(materialized)
+        _assert_all_slots_equal(again, compile_instance(twice), (delta, follow))
+
+
+def _chain_instance():
+    tg = TaskGraph()
+    for name in ("d", "c", "b", "a"):
+        tg.add_task(name, 1.0)
+    for u, v in (("d", "c"), ("c", "b"), ("b", "a")):
+        tg.add_dependency(u, v, 0.5)
+    net = Network()
+    net.add_node("x", 1.0)
+    net.add_node("y", 0.5)
+    net.set_strength("x", "y", 1.0)
+    return ProblemInstance(net, tg, name="chain")
+
+
+def test_shape_cache_is_per_structure():
+    """A structural clone gets a fresh shape cache: the lexicographic
+    order and the lockstep kernel's padded arrays are recomputed for the
+    new edges, never read from the parent's structure."""
+    from repro.core.batched import _structure
+
+    inst = _chain_instance()
+    parent = compile_instance(inst)
+    parent_order = parent.topological_order()
+    parent_art = _structure(parent)
+    assert parent.apply_delta(Delta("task_weight", ("a",), 0.5)).shape_cache is parent.shape_cache
+
+    delta = Delta("add_dep", ("d", "a"), 0.25)
+    clone = parent.apply_delta(delta)
+    assert clone.shape_cache is not parent.shape_cache
+    assert clone.shape_cache == {}
+    fresh = compile_instance(PlannedMove("add_dependency", delta).materialize(inst))
+    assert clone.topological_order() == fresh.topological_order() == parent_order
+    art, want = _structure(clone), _structure(fresh)
+    assert art is not parent_art
+    for field in ("pred_count", "succ_pad", "succ_mask", "succ_count", "topo_index"):
+        assert (getattr(art, field) == getattr(want, field)).all(), field
+    assert art.succ_pad.shape != parent_art.succ_pad.shape  # "d" now has 2 successors
+
+    # Removing the chain's middle edge changes the lexicographic order.
+    cut = Delta("remove_dep", ("c", "b"), 0.0)
+    removed = parent.apply_delta(cut)
+    fresh = compile_instance(PlannedMove("remove_dependency", cut).materialize(inst))
+    assert removed.topological_order() == fresh.topological_order() != parent_order
+    assert (_structure(removed).pred_count == _structure(fresh).pred_count).all()
+
+
+def test_structural_delta_rejections():
+    compiled = compile_instance(_chain_instance())
+    for delta in (
+        Delta("add_dep", ("d", "c"), 0.5),  # duplicate
+        Delta("add_dep", ("a", "d"), 0.5),  # cycle
+        Delta("add_dep", ("a", "a"), 0.5),  # self-dependency
+        Delta("add_dep", ("d", "zz"), 0.5),  # unknown task
+        Delta("add_dep", ("d", "b"), -1.0),  # negative size
+        Delta("remove_dep", ("d", "b"), 0.0),  # missing edge
+    ):
+        assert compiled.apply_delta(delta) is None, delta
+
+
+# --------------------------------------------------------------------- #
+# Unbound clones: unknown keys raise SchedulingError, not AttributeError
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def unbound():
+    compiled = compile_instance(_tiny_instance())
+    clone = compiled.apply_delta(Delta("task_weight", ("a",), 0.75))
+    assert clone.instance is None
+    return clone
+
+
+def test_unbound_mean_exec_names_the_task(unbound):
+    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+        unbound.mean_exec("zz")
+
+
+def test_unbound_mean_comm_names_the_dependency(unbound):
+    with pytest.raises(SchedulingError, match="unknown dependency 'b'->'a'"):
+        unbound.mean_comm("b", "a")
+    with pytest.raises(SchedulingError, match="unknown dependency 'a'->'zz'"):
+        unbound.mean_comm("a", "zz")
+
+
+def test_unbound_builder_exec_time(unbound):
+    from repro.core.simulator import ScheduleBuilder
+
+    builder = ScheduleBuilder(unbound)
+    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+        builder._exec_time("zz", "x")
+    with pytest.raises(SchedulingError, match="unknown node 'w'"):
+        builder._exec_time("a", "w")
+    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+        builder.est("zz", "x")
+
+
+def test_unbound_builder_comm_time(unbound):
+    from repro.core.simulator import ScheduleBuilder
+
+    builder = ScheduleBuilder(unbound)
+    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+        builder._comm_time("a", "zz", "x", "y")
+    with pytest.raises(SchedulingError, match="unknown node 'w'"):
+        builder._comm_time("a", "b", "x", "w")
+    with pytest.raises(SchedulingError, match="unknown dependency 'b'->'a'"):
+        builder._comm_time("b", "a", "x", "y")
+
+
+def test_unbound_builder_data_ready_time(unbound):
+    from repro.core.simulator import ScheduleBuilder
+
+    builder = ScheduleBuilder(unbound)
+    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+        builder.data_ready_time("zz", "x")
+    with pytest.raises(SchedulingError, match="unknown node 'w'"):
+        builder.data_ready_time("a", "w")
+
+
+def test_unbound_builder_enabling_parent(unbound):
+    from repro.core.simulator import ScheduleBuilder
+
+    builder = ScheduleBuilder(unbound)
+    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+        builder.enabling_parent("zz", "x")
+    builder.commit("a", "x")
+    assert builder.enabling_parent("b", "y") == "a"

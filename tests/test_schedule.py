@@ -157,3 +157,74 @@ class TestSerialization:
         s.add("a", "u", 0.0, 1.0)
         s.add("b", "v", 0.0, 2.0)
         assert {e.task for e in s} == {"a", "b"}
+
+
+class TestFromPlacements:
+    """``ScheduleBuilder.schedule()`` hands its entries over instead of
+    re-adding them; the result must equal re-adding them in commit order."""
+
+    @staticmethod
+    def _readded(placed) -> Schedule:
+        sched = Schedule()
+        for entry in placed.values():
+            sched.add(entry.task, entry.node, entry.start, entry.end)
+        return sched
+
+    @staticmethod
+    def _handed_over(placed) -> Schedule:
+        from bisect import insort
+
+        by_node: dict = {}
+        for entry in placed.values():
+            insort(by_node.setdefault(entry.node, []), entry)
+        return Schedule.from_placements(placed, by_node)
+
+    def test_builder_schedules_equal_readded_entries(self):
+        from repro.core.scheduler import get_scheduler, list_schedulers
+        from repro.core.simulator import ScheduleBuilder
+        from repro.pisa.initial import random_chain_instance
+
+        inst = random_chain_instance(5)
+        for name in list_schedulers(include_exponential=False):
+            schedule = get_scheduler(name).schedule(inst)
+            readded = self._readded(schedule._by_task)
+            assert list(schedule._by_task) == list(readded._by_task), name
+            assert list(schedule._by_node.items()) == list(readded._by_node.items()), name
+        # Nodes appear in order of first placement, not network order.
+        builder = ScheduleBuilder(inst, insertion=False)
+        last = inst.network.nodes[-1]
+        for task in inst.task_graph.topological_order():
+            builder.commit(task, last)
+        assert builder.schedule().nodes == (last,)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (math.nan, 1.0),  # NaN start
+            (-0.5, 1.0),  # negative start
+            (2.0, 1.0),  # end before start
+        ],
+    )
+    def test_same_checks_same_errors_same_order(self, bad):
+        from repro.core.schedule import ScheduledTask
+
+        placed = {
+            "a": ScheduledTask(0.0, 1.0, "a", "u"),
+            "b": ScheduledTask(bad[0], bad[1], "b", "v"),
+            "c": ScheduledTask(-1.0, 0.0, "c", "u"),  # also bad, but later
+        }
+        with pytest.raises(InvalidScheduleError) as want:
+            self._readded(placed)
+        with pytest.raises(InvalidScheduleError) as got:
+            self._handed_over(placed)
+        assert str(got.value) == str(want.value)
+        assert "'b'" in str(got.value)
+
+    def test_nan_start_from_the_builder(self, instance):
+        from repro.core.simulator import ScheduleBuilder
+
+        builder = ScheduleBuilder(instance, insertion=False)
+        builder.commit("a", "u", start=math.nan)
+        builder.commit("b", "u")
+        with pytest.raises(InvalidScheduleError, match="start time of 'a' must be >= 0, got nan"):
+            builder.schedule()
