@@ -17,7 +17,7 @@ and ``benchmarks/compare.py`` gates against the committed
   array-compiled kernel vs the frozen pre-compilation builder
   (:mod:`repro.core.reference`).  The compiled path must deliver >= 2x
   while producing bit-identical energies.
-* **Builder hot path** — a greedy batched-EFT scheduling loop through
+* **Builder hot path** — a greedy EFT-row scheduling loop through
   the compiled builder vs the same loop through the reference builder.
 * **Coordinator round-trip** — the claim→record→release cycle of one
   unit (a batch of one) through the HTTP coordinator (loopback) vs the
@@ -289,7 +289,7 @@ def test_annealing_energy_speedup(report_dir):
 
 
 # ---------------------------------------------------------------------- #
-# Builder hot path: batched-EFT greedy loop
+# Builder hot path: EFT-row greedy loop
 # ---------------------------------------------------------------------- #
 def _greedy_eft_schedule(builder) -> float:
     """ETF-style loop: rescore every ready (task, node) pair each round."""
@@ -300,9 +300,9 @@ def _greedy_eft_schedule(builder) -> float:
             break
         best = None
         for task in ready:
-            row = builder.eft_all(task)
-            vid = int(row.argmin())
-            key = (float(row[vid]), str(task), task, nodes[vid])
+            row = builder.eft_row(task)
+            vid = min(range(len(row)), key=row.__getitem__)
+            key = (row[vid], str(task), task, nodes[vid])
             if best is None or key[:2] < best[:2]:
                 best = key
         builder.commit(best[2], best[3])

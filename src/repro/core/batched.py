@@ -326,8 +326,9 @@ def _push_scalar(drt, data_mat, strength, succ_ids, tid, vid, end) -> None:
     """Push commit ``(tid -> vid, end)`` into successor DRT rows, scalar task.
 
     ``end + data/strength[v, :]`` per successor — elementwise, the exact
-    IEEE ops of the serial ``_drt_row`` fold; zero data short-circuits to
-    ``end`` exactly as the serial ``np.maximum(row, end)`` branch.
+    IEEE ops of the builder's scalar ``_drt_row`` fold on the instances
+    the kernel takes; zero data short-circuits to ``end`` exactly as that
+    fold's zero-data branch does.
     """
     if not succ_ids:
         return

@@ -25,6 +25,8 @@ so PISA scores a candidate from its tables alone.  It precomputes:
   conventions of :func:`repro.core.simulator.comm_time` baked into IEEE
   arithmetic (``inf`` on the diagonal so ``data / inf == 0``, raw zeros
   off it so ``data / 0 == inf`` for positive data);
+* ``exec_list`` / ``strength_list`` — nested-list mirrors of those two
+  tables, which the builder's scalar folds read;
 * per-task predecessor/successor id lists plus per-edge data sizes, in
   graph insertion order, and the dependency/link id lists PISA's
   perturbations draw from;
@@ -74,7 +76,6 @@ from repro.utils.topo import lexicographic_ids
 __all__ = [
     "CompiledInstance",
     "compile_instance",
-    "argmin_ranked",
     "compile_stats",
     "reset_compile_stats",
 ]
@@ -119,19 +120,6 @@ def _reject(instance: ProblemInstance) -> None:
     )  # pragma: no cover - the validators are strictly stronger
 
 
-def argmin_ranked(values: np.ndarray, order: np.ndarray) -> int:
-    """Index minimizing ``(values[i], rank-position-in-order)``.
-
-    The vectorized form of ``min(items, key=lambda x: (score(x), str(x)))``
-    when ``order`` lists the indices sorted by their tie-break key (e.g.
-    :attr:`CompiledInstance.node_str_order`): gathering ``values`` in that
-    order makes ``argmin``'s first-minimum rule pick the tie with the
-    smallest key, exactly like tuple comparison falling back to the
-    string.
-    """
-    return int(order[values[order].argmin()])
-
-
 class CompiledInstance:
     """Integer-indexed timing tables for one problem instance.
 
@@ -150,8 +138,8 @@ class CompiledInstance:
         "speed",
         "exec_tbl",
         "exec_list",
-        "exec_has_nan",
         "strength",
+        "strength_list",
         "pred_ids",
         "succ_ids",
         "preds",
@@ -159,7 +147,6 @@ class CompiledInstance:
         "pred_edges",
         "data",
         "node_str_order",
-        "strength_row_has_zero",
         "cost_list",
         "dep_ids",
         "link_ids",
@@ -223,13 +210,10 @@ class CompiledInstance:
         # invalid-op warning, which the scalar path never emits.
         with np.errstate(invalid="ignore"):
             self.exec_tbl = self.cost[:, None] / self.speed[None, :]
-        # Nested-list mirror for scalar queries: plain-list indexing beats
-        # ndarray scalar indexing on the tiny instances PISA searches.
+        # Nested-list mirror for the builder's scalar folds: plain-list
+        # indexing beats ndarray scalar indexing on the tiny instances
+        # PISA searches.
         self.exec_list: list[list[float]] = self.exec_tbl.tolist()
-        # NaN execution times poison vectorized folds differently from
-        # the scalar max/short-circuit semantics; the builder's batch
-        # queries fall back to their scalar forms on such instances.
-        self.exec_has_nan: bool = bool(np.isnan(self.exec_tbl).any())
 
         # strength[u, v]: inf on the diagonal (data already present) and
         # the raw link strength elsewhere, so `data / strength` lands on
@@ -249,6 +233,7 @@ class CompiledInstance:
             strength[node_id[u], node_id[v]] = s
             strength[node_id[v], node_id[u]] = s
         self.strength = strength
+        self.strength_list: list[list[float]] = strength.tolist()
 
         self.preds: tuple[tuple[Task, ...], ...] = tuple(
             tuple(tg_graph.pred[t]) for t in self.tasks
@@ -282,14 +267,11 @@ class CompiledInstance:
         # source id; apply_delta reproduces that for task-graph moves.
         self._preds_sorted = all(_ascending(ps) for ps in self.pred_ids)
 
-        # Node ids sorted by str(), for the schedulers that tie-break on
-        # `str(node)` (MinMin, WBA, GDL, BIL, ...); see argmin_ranked.
+        # Node ids sorted by str(): the lockstep kernel's form of the
+        # `(value, str(node))` tie-break (repro.core.simulator.select_node).
         self.node_str_order = np.array(
             sorted(range(n_nodes), key=lambda i: str(self.nodes[i])), dtype=np.intp
         )
-        # Rows with a dead link need the divide-warning guard; everything
-        # else divides straight through (x / inf == 0 is silent).
-        self.strength_row_has_zero = (strength == 0.0).any(axis=1)
 
         # Average-time aggregates, accumulated in exactly the reference
         # functions' iteration order so the floats match bit-for-bit.
@@ -420,7 +402,6 @@ class CompiledInstance:
             exec_list = list(self.exec_list)
             exec_list[tid] = exec_tbl[tid].tolist()
             clone.exec_list = exec_list
-            clone.exec_has_nan = bool(np.isnan(exec_tbl).any())
         elif kind == "dep_weight":
             sid = self.task_id.get(delta.key[0])
             did = self.task_id.get(delta.key[1])
@@ -449,7 +430,6 @@ class CompiledInstance:
             clone.speed = speed
             clone.exec_tbl = exec_tbl
             clone.exec_list = exec_tbl.tolist()
-            clone.exec_has_nan = bool(np.isnan(exec_tbl).any())
             # Reference fold order: sum of inverses over nodes in order.
             clone._mean_inv_speed = sum(1.0 / s for s in speed.tolist()) / len(self.nodes)
         elif kind == "link_strength":
@@ -461,7 +441,10 @@ class CompiledInstance:
             strength[uid, vid] = value
             strength[vid, uid] = value
             clone.strength = strength
-            clone.strength_row_has_zero = (strength == 0.0).any(axis=1)
+            strength_list = list(self.strength_list)
+            strength_list[uid] = strength[uid].tolist()
+            strength_list[vid] = strength[vid].tolist()
+            clone.strength_list = strength_list
             # Redo the inverse-strength fold in graph edge order — a
             # sequential float sum cannot be patched incrementally.
             inv_sum = 0.0
@@ -570,11 +553,8 @@ class CompiledInstance:
         return True
 
     # ------------------------------------------------------------------ #
-    # Scalar conveniences (identical semantics to simulator.comm_time)
+    # Scalar convenience (identical semantics to simulator.comm_time)
     # ------------------------------------------------------------------ #
-    def exec_time(self, tid: int, vid: int) -> float:
-        return self.exec_list[tid][vid]
-
     def comm(self, src_tid: int, dst_tid: int, src_vid: int, dst_vid: int) -> float:
         """Communication time of a dependency across a link, by ids."""
         if src_vid == dst_vid:
@@ -582,39 +562,12 @@ class CompiledInstance:
         data = self.data[(src_tid, dst_tid)]
         if data == 0.0:
             return 0.0
-        strength = float(self.strength[src_vid, dst_vid])
+        strength = self.strength_list[src_vid][dst_vid]
         if strength == 0.0:
             return math.inf
         if math.isinf(strength):
             return 0.0
         return data / strength
-
-    def comm_row(self, data: float, src_vid: int) -> np.ndarray:
-        """Per-destination communication times of one message (length |V|).
-
-        ``data / strength[src, :]`` with the comm_time conventions:
-        the infinite diagonal and infinite links divide to 0, dead links
-        to inf, and zero data short-circuits to a zero row (0/0 would be
-        NaN).  Each element is the same IEEE quotient the scalar path
-        computes.  This is the single home of the vectorized comm
-        arithmetic — the builder's data-ready rows go through here.
-        """
-        strength_row = self.strength[src_vid]
-        if data == 0.0:
-            return np.zeros(len(self.nodes))
-        if math.isinf(data):
-            # inf/inf is NaN where the scalar conventions say 0 (infinite
-            # links — and the diagonal — transfer for free); validate()
-            # accepts infinite data sizes, so honor them exactly.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = data / strength_row
-            out[np.isinf(strength_row)] = 0.0
-            return out
-        if self.strength_row_has_zero[src_vid]:
-            # A dead link divides to inf; silence only that warning.
-            with np.errstate(divide="ignore"):
-                return data / strength_row
-        return data / strength_row
 
     def topological_order(self) -> list[Task]:
         """Memoized :meth:`TaskGraph.topological_order` (lexicographic).

@@ -11,10 +11,10 @@ two consumers:
 * ``benchmarks/bench_runtime.py`` uses it as the honest "pre-PR" side of
   the annealing-energy hot-loop speedup measurement.
 
-The batch queries the ported schedulers now call (``est_all`` /
-``eft_all`` / ``node_available_all`` / ``node_str_order``) are provided
-as thin scalar wrappers, so the *same* scheduler code runs on both
-substrates and any divergence is attributable to the kernel alone.
+The live builder's row queries (``est_row`` / ``eft_row``) and its
+``nodes`` are provided as loops over the scalar queries, so the *same*
+scheduler code runs on both substrates and any divergence is
+attributable to the live builder alone.
 
 Do not "optimize" this module: its value is that it does not change.
 """
@@ -27,7 +27,6 @@ from collections.abc import Hashable, Iterable
 from contextlib import contextmanager
 
 import networkx as nx
-import numpy as np
 
 from repro.core.exceptions import SchedulingError
 from repro.core.instance import ProblemInstance
@@ -44,8 +43,8 @@ class ReferenceScheduleBuilder:
     """The pre-compilation builder: per-build snapshots, scalar memo dicts.
 
     Semantics documentation lives on the live builder; this copy is kept
-    byte-for-byte faithful to the code it replaced (plus the scalar batch
-    wrappers at the bottom).
+    byte-for-byte faithful to the code it replaced (plus the row-query
+    loops at the bottom).
     """
 
     def __init__(self, instance: ProblemInstance, insertion: bool = True) -> None:
@@ -262,40 +261,17 @@ class ReferenceScheduleBuilder:
         return sched
 
     # ------------------------------------------------------------------ #
-    # Scalar realizations of the batch API the ported schedulers use.
+    # The live builder's row queries, as loops over the scalar ones.
     # ------------------------------------------------------------------ #
     @property
     def nodes(self) -> tuple[Node, ...]:
         return self._nodes
 
-    @property
-    def node_str_order(self) -> np.ndarray:
-        order = getattr(self, "_node_str_order", None)
-        if order is None:
-            order = np.array(
-                sorted(range(len(self._nodes)), key=lambda i: str(self._nodes[i])),
-                dtype=np.intp,
-            )
-            self._node_str_order = order
-        return order
+    def est_row(self, task: Task) -> list[float]:
+        return [self.est(task, v) for v in self._nodes]
 
-    def node_available_all(self) -> np.ndarray:
-        return np.array([self.node_available(v) for v in self._nodes])
-
-    def data_ready_time_all(self, task: Task) -> np.ndarray:
-        return np.array([self.data_ready_time(task, v) for v in self._nodes])
-
-    def est_all(self, task: Task) -> np.ndarray:
-        return np.array([self.est(task, v) for v in self._nodes])
-
-    def eft_all(self, task: Task) -> np.ndarray:
-        return np.array([self.eft(task, v) for v in self._nodes])
-
-    def est_all_many(self, tasks) -> np.ndarray:
-        return np.array([[self.est(t, v) for v in self._nodes] for t in tasks])
-
-    def eft_all_many(self, tasks) -> np.ndarray:
-        return np.array([[self.eft(t, v) for v in self._nodes] for t in tasks])
+    def eft_row(self, task: Task) -> list[float]:
+        return [self.eft(task, v) for v in self._nodes]
 
 
 @contextmanager

@@ -16,24 +16,22 @@ Conventions
   "this scheduler routed positive data over a dead link"; makespan ratios
   treat it as an arbitrarily-bad outcome (the ``> 1000`` cells of Fig. 4).
 
-The builder runs on the array-compiled instance kernel
-(:mod:`repro.core.compiled`): timing tables are integer-indexed numpy
-arrays compiled once per instance and shared by every builder over it,
-and the batch queries (:meth:`ScheduleBuilder.est_all` /
-:meth:`~ScheduleBuilder.eft_all`) score **all** nodes of a task in one
-vectorized sweep.  Results are bit-identical to the scalar dict-based
-builder this replaced (frozen as
-:class:`repro.core.reference.ReferenceScheduleBuilder` and pinned by
-``tests/test_compiled.py``).
+The builder reads the compiled instance kernel (:mod:`repro.core.compiled`):
+integer-indexed timing tables compiled once per instance and shared by
+every builder over it.  Its queries are plain-Python folds over the
+tables' list mirrors, in the reference's order and arithmetic, so every
+time it reports is the float the scalar dict-based builder it replaced
+reports (frozen as :class:`repro.core.reference.ReferenceScheduleBuilder`
+and pinned by ``tests/test_compiled.py``), NaN and infinity included.
+:func:`select_node` is the one ``(value, str(node))`` node-selection rule
+the schedulers share.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Hashable, Iterable
-
-import numpy as np
+from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.compiled import compile_instance
 from repro.core.exceptions import SchedulingError
@@ -45,11 +43,14 @@ __all__ = [
     "comm_time",
     "mean_exec_time",
     "mean_comm_time",
+    "select_node",
     "ScheduleBuilder",
 ]
 
 Task = Hashable
 Node = Hashable
+
+_INF = math.inf
 
 
 def exec_time(instance: ProblemInstance, task: Task, node: Node) -> float:
@@ -109,6 +110,28 @@ def mean_comm_time(instance: ProblemInstance, src_task: Task, dst_task: Task) ->
     return data * inv / len(links)
 
 
+def select_node(values: Sequence[float], nodes: Sequence[Node]) -> int:
+    """Index of the node minimizing ``(values[i], str(nodes[i]))``.
+
+    Exactly ``min(range(len(nodes)), key=lambda i: (values[i],
+    str(nodes[i])))``: the first node seeds the minimum, and a later node
+    replaces it only when its key compares strictly less.  A NaN value
+    therefore never displaces another value, and a leading NaN is kept.
+    ``str`` is evaluated only on value ties; like tuple comparison, an
+    identical object counts as a tie.
+    """
+    best = 0
+    best_value = values[0]
+    for i in range(1, len(values)):
+        value = values[i]
+        if value is best_value or value == best_value:
+            if str(nodes[i]) < str(nodes[best]):
+                best = i
+        elif value < best_value:
+            best, best_value = i, value
+    return best
+
+
 class ScheduleBuilder:
     """Incremental schedule construction with shared timing semantics.
 
@@ -133,16 +156,16 @@ class ScheduleBuilder:
     The builder's timing tables come from the shared
     :class:`~repro.core.compiled.CompiledInstance` kernel: one compilation
     per instance, reused across builders (PISA's energy schedules every
-    candidate twice; a whole genetic population's elites re-schedule every
-    generation).  The instance must therefore not be mutated while a
+    candidate twice).  The instance must therefore not be mutated while a
     builder is live — PISA's perturbations already operate on copies, and
     schedulers build-and-discard.  (Mutation *between* builds is safe: the
     compile cache is keyed on the graphs' mutation counters.)
 
-    Batch queries — :meth:`est_all`, :meth:`eft_all`,
-    :meth:`node_available_all` — return float64 arrays aligned with
-    ``instance.network.nodes`` and are bit-identical, element for element,
-    to the corresponding scalar query.
+    The row queries :meth:`est_row` and :meth:`eft_row` return lists
+    aligned with :attr:`nodes`, equal element for element to the scalar
+    :meth:`est` / :meth:`eft`.  Every query raises
+    :class:`~repro.core.exceptions.SchedulingError` naming an unknown task
+    or node.
     """
 
     def __init__(self, instance: ProblemInstance, insertion: bool = True) -> None:
@@ -155,65 +178,36 @@ class ScheduleBuilder:
         self._task_id = compiled.task_id
         self._node_id = compiled.node_id
         self._exec_list = compiled.exec_list
-        self._entries: dict[Node, list[ScheduledTask]] = {v: [] for v in self._nodes}
+        n_tasks = len(self._tasks)
+        #: Committed entries per node id, time-sorted; ``_entries`` maps
+        #: each node to the same list.
+        self._slots: list[list[ScheduledTask]] = [[] for _ in self._nodes]
+        self._entries: dict[Node, list[ScheduledTask]] = dict(zip(self._nodes, self._slots))
         self._placed: dict[Task, ScheduledTask] = {}
-        self._remaining_preds: dict[Task, int] = {
-            t: len(ps) for t, ps in zip(self._tasks, compiled.pred_ids)
-        }
+        self._remaining_preds: list[int] = [len(ps) for ps in compiled.pred_ids]
         #: Sorted task ids of the current ready set (insertion order ==
         #: id order, so the incremental list reproduces the full rescan).
-        self._ready_ids: list[int] = [
-            tid for tid, ps in enumerate(compiled.pred_ids) if not ps
-        ]
-        #: entry ids of placed tasks, by task id (None while unplaced).
-        self._placed_vid: list[int | None] = [None] * len(self._tasks)
+        self._ready_ids: list[int] = [tid for tid, n in enumerate(self._remaining_preds) if not n]
+        #: Node id and finish time of each placed task, by task id.
+        self._placed_vid: list[int | None] = [None] * n_tasks
+        self._placed_end: list[float] = [0.0] * n_tasks
         #: Finish time of the last committed task per node id.
-        self._avail = np.zeros(len(self._nodes))
+        self._avail: list[float] = [0.0] * len(self._nodes)
         #: Memoized data-ready rows, by task id (immutable once computed).
-        self._drt_rows: dict[int, np.ndarray] = {}
+        self._drt_rows: list[list[float] | None] = [None] * n_tasks
         self._makespan = 0.0
 
-    # ------------------------------------------------------------------ #
-    # Memoized timing primitives (semantics of exec_time / comm_time)
-    # ------------------------------------------------------------------ #
-    def _exec_time(self, task: Task, node: Node) -> float:
+    def _tid(self, task: Task) -> int:
         tid = self._task_id.get(task)
+        if tid is None:
+            raise SchedulingError(f"unknown task {task!r}")
+        return tid
+
+    def _vid(self, node: Node) -> int:
         vid = self._node_id.get(node)
-        if tid is None or vid is None:
-            # Unknown task/node: defer to the reference path for its error.
-            return exec_time(self._fallback_instance((task,), (node,)), task, node)
-        return self._exec_list[tid][vid]
-
-    def _comm_time(self, src_task: Task, dst_task: Task, src_node: Node, dst_node: Node) -> float:
-        try:
-            return self.compiled.comm(
-                self._task_id[src_task],
-                self._task_id[dst_task],
-                self._node_id[src_node],
-                self._node_id[dst_node],
-            )
-        except KeyError:
-            # Unknown dependency/link: defer for the proper error.
-            instance = self._fallback_instance((src_task, dst_task), (src_node, dst_node))
-            return comm_time(instance, src_task, dst_task, src_node, dst_node)
-
-    def _fallback_instance(self, tasks: tuple, nodes: tuple = ()) -> ProblemInstance:
-        """The instance a query with an unknown key falls back to.
-
-        The reference functions raise the canonical error for it; an
-        unbound compilation (a PISA candidate) has no instance, so name
-        the first unknown task, node or dependency here instead.
-        """
-        instance = self.compiled.instance
-        if instance is not None:
-            return instance
-        for task in tasks:
-            if task not in self._task_id:
-                raise SchedulingError(f"unknown task {task!r}")
-        for node in nodes:
-            if node not in self._node_id:
-                raise SchedulingError(f"unknown node {node!r}")
-        raise SchedulingError(f"unknown dependency {tasks[0]!r}->{tasks[1]!r}")
+        if vid is None:
+            raise SchedulingError(f"unknown node {node!r}")
+        return vid
 
     # ------------------------------------------------------------------ #
     # State
@@ -248,99 +242,51 @@ class ScheduleBuilder:
 
     def node_available(self, node: Node) -> float:
         """Finish time of the last committed task on ``node`` (0.0 if idle)."""
-        entries = self._entries[node]
-        return entries[-1].end if entries else 0.0
-
-    def node_available_all(self) -> np.ndarray:
-        """Per-node finish times of the last committed tasks.
-
-        Aligned with ``instance.network.nodes``.  A live, read-only view:
-        it reflects subsequent commits, so callers must not mutate it.
-        """
-        return self._avail
+        return self._avail[self._vid(node)]
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        """The network's nodes, in the order every batch query follows."""
+        """The network's nodes, in the order every row query follows."""
         return self._nodes
-
-    @property
-    def node_str_order(self) -> np.ndarray:
-        """Rank of each node index under ``str(node)`` ordering.
-
-        For vectorizing ``min(nodes, key=lambda v: (score(v), str(v)))``
-        via :func:`repro.core.compiled.argmin_ranked`.
-        """
-        return self.compiled.node_str_order
 
     # ------------------------------------------------------------------ #
     # Timing queries
     # ------------------------------------------------------------------ #
-    def _drt_row(self, tid: int) -> np.ndarray:
+    def _drt_row(self, tid: int) -> list[float]:
         """Data-ready times of task ``tid`` on every node (memoized).
 
-        The sequential ``max`` fold over predecessors is replicated with
-        element-wise ``np.maximum`` in the same order, so every entry is
-        bit-identical to the scalar reference.  Computable (and therefore
-        cached) only once all predecessors are committed; committed
-        placements are immutable, so the row never goes stale.
+        The reference fold ``ready = max(ready, end + comm)`` over the
+        predecessors in order, seeded with 0.0, run per node: a NaN
+        arrival never displaces the running value.  Computable (and
+        therefore cached) only once all predecessors are committed;
+        committed placements are immutable, so the row never goes stale.
         """
-        row = self._drt_rows.get(tid)
+        row = self._drt_rows[tid]
         if row is not None:
             return row
-        compiled = self.compiled
-        if compiled.exec_has_nan:
-            # NaN finish times (validate()-legal inf cost / inf speed)
-            # interact with np.maximum differently from the scalar max
-            # fold (which ignores a NaN that arrives after a larger
-            # value); replicate the scalar fold exactly.
-            row = self._drt_row_degenerate(tid)
-            self._drt_rows[tid] = row
-            return row
-        row = np.zeros(len(self._nodes))
+        row = [0.0] * len(self._nodes)
         placed_vid = self._placed_vid
-        row_has_zero = compiled.strength_row_has_zero
-        strength = compiled.strength
-        for pid, data in compiled.pred_edges[tid]:
+        strength = self.compiled.strength_list
+        for pid, data in self.compiled.pred_edges[tid]:
             src_vid = placed_vid[pid]
             if src_vid is None:
                 raise SchedulingError(
                     f"cannot evaluate task {self._tasks[tid]!r}: "
                     f"predecessor {self._tasks[pid]!r} unscheduled"
                 )
-            end = self._placed[self._tasks[pid]].end
+            end = self._placed_end[pid]
             if data == 0.0:
-                np.maximum(row, end, out=row)
-            elif not (row_has_zero[src_vid] or math.isinf(data)):
-                # Hot path: finite data over live links divides clean
-                # (x / inf == 0 covers the diagonal and infinite links).
-                np.maximum(row, end + data / strength[src_vid], out=row)
+                arrivals = [end] * len(row)
             else:
-                # Dead links / infinite data: the convention corner cases
-                # live in one place, CompiledInstance.comm_row.
-                np.maximum(row, end + compiled.comm_row(data, src_vid), out=row)
+                # comm_time's conventions over the strength row: the
+                # infinite diagonal and infinite links transfer for free,
+                # a dead link never delivers.
+                arrivals = [
+                    end + (data / s if 0.0 < s < _INF else _INF if s == 0.0 else 0.0)
+                    for s in strength[src_vid]
+                ]
+            row = [a if a > r else r for r, a in zip(row, arrivals)]
         self._drt_rows[tid] = row
-        return row
-
-    def _drt_row_degenerate(self, tid: int) -> np.ndarray:
-        """Per-node scalar data-ready fold for NaN-degenerate instances."""
-        compiled = self.compiled
-        placed_vid = self._placed_vid
-        edges = []
-        for pid, data in compiled.pred_edges[tid]:
-            src_vid = placed_vid[pid]
-            if src_vid is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {self._tasks[tid]!r}: "
-                    f"predecessor {self._tasks[pid]!r} unscheduled"
-                )
-            edges.append((pid, src_vid, self._placed[self._tasks[pid]].end))
-        row = np.empty(len(self._nodes))
-        for vid in range(len(self._nodes)):
-            ready = 0.0
-            for pid, src_vid, end in edges:
-                ready = max(ready, end + compiled.comm(pid, tid, src_vid, vid))
-            row[vid] = ready
         return row
 
     def data_ready_time(self, task: Task, node: Node) -> float:
@@ -349,163 +295,81 @@ class ScheduleBuilder:
         Max over scheduled predecessors of (finish + communication); all
         predecessors must already be committed.
         """
-        tid = self._task_id.get(task)
-        vid = self._node_id.get(node)
-        if tid is None or vid is None:
-            return self._data_ready_time_fallback(task, node)
-        return float(self._drt_row(tid)[vid])
-
-    def _data_ready_time_fallback(self, task: Task, node: Node) -> float:
-        """Unknown task/node: the scalar reference path, for its errors."""
-        instance = self._fallback_instance((task,), (node,))
-        preds = instance.task_graph.predecessors(task)  # unknown task: error
-        ready = 0.0
-        for pred in preds:
-            entry = self._placed.get(pred)
-            if entry is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {task!r}: predecessor {pred!r} unscheduled"
-                )
-            arrival = entry.end + self._comm_time(pred, task, entry.node, node)
-            ready = max(ready, arrival)
-        return ready
-
-    def enabling_parent(self, task: Task, node: Node) -> Task | None:
-        """The predecessor whose message arrives last at ``node`` (FCP/FLB).
-
-        Returns None for source tasks.
-        """
-        best: tuple[float, Task] | None = None
-        tid = self._task_id.get(task)
-        preds = (
-            self.compiled.preds[tid]
-            if tid is not None
-            # unknown task: the reference path's error
-            else self._fallback_instance((task,)).task_graph.predecessors(task)
-        )
-        for pred in preds:
-            entry = self._placed.get(pred)
-            if entry is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {task!r}: predecessor {pred!r} unscheduled"
-                )
-            arrival = entry.end + self._comm_time(pred, task, entry.node, node)
-            if best is None or arrival > best[0]:
-                best = (arrival, pred)
-        return best[1] if best else None
+        tid = self._tid(task)
+        vid = self._vid(node)
+        return self._drt_row(tid)[vid]
 
     def est(self, task: Task, node: Node) -> float:
         """Earliest start of ``task`` on ``node`` under the builder's policy."""
-        ready = self.data_ready_time(task, node)
-        duration = self._exec_time(task, node)
-        return self._earliest_slot(node, ready, duration)
+        tid = self._tid(task)
+        vid = self._vid(node)
+        return self._earliest_slot(vid, self._drt_row(tid)[vid], self._exec_list[tid][vid])
 
     def eft(self, task: Task, node: Node) -> float:
         """Earliest finish of ``task`` on ``node``."""
         start = self.est(task, node)
         if math.isinf(start):
             return math.inf
-        return start + self._exec_time(task, node)
+        return start + self._exec_list[self._task_id[task]][self._node_id[node]]
 
-    def est_all(self, task: Task) -> np.ndarray:
-        """Earliest starts of ``task`` on every node, in one sweep.
-
-        Aligned with ``instance.network.nodes``; each element equals
-        ``est(task, node)`` bit-for-bit.
-        """
-        tid = self._task_id.get(task)
-        if tid is None:
-            raise SchedulingError(f"unknown task {task!r}")
-        if self.compiled.exec_has_nan:
-            # Scalar fallback: NaN durations/availabilities break the
-            # vectorized maximum's equivalence with Python's max.
-            return np.array([self.est(task, v) for v in self._nodes])
-        row = self._drt_row(tid)
+    def _est_row(self, tid: int) -> list[float]:
+        ready = self._drt_row(tid)
         if not self.insertion:
-            # Non-insertion earliest slot is max(ready, last end) — one
-            # vectorized maximum (infinite ready times stay infinite).
-            return np.maximum(row, self._avail)
-        # Insertion gap scans are per-node Python; tolist() unboxes the
-        # ready times once instead of paying np.float64 boxing per index.
+            # max(ready, last end): an idle node's 0.0 never beats ready.
+            return [a if a > r else r for r, a in zip(ready, self._avail)]
         exec_row = self._exec_list[tid]
-        ready_list = row.tolist()
-        entries_map = self._entries
-        out = np.empty(len(self._nodes))
-        for vid, node in enumerate(self._nodes):
-            ready = ready_list[vid]
-            if not entries_map[node]:
-                out[vid] = ready
-            else:
-                out[vid] = self._earliest_slot(node, ready, exec_row[vid])
-        return out
+        slot = self._earliest_slot
+        return [slot(vid, r, exec_row[vid]) for vid, r in enumerate(ready)]
 
-    def eft_all(self, task: Task) -> np.ndarray:
-        """Earliest finishes of ``task`` on every node, in one sweep."""
-        tid = self._task_id.get(task)
-        if tid is None:
-            raise SchedulingError(f"unknown task {task!r}")
-        if self.compiled.exec_has_nan:
-            # Scalar fallback: eft() short-circuits an infinite start to
-            # inf before adding the (possibly NaN) execution time.
-            return np.array([self.eft(task, v) for v in self._nodes])
-        # est + exec element-wise: an infinite start stays infinite, and
-        # finite sums are the identical IEEE addition of the scalar path.
-        return self.est_all(task) + self.compiled.exec_tbl[tid]
+    def est_row(self, task: Task) -> list[float]:
+        """Earliest starts of ``task`` on every node, aligned with :attr:`nodes`."""
+        return self._est_row(self._tid(task))
 
-    def est_all_many(self, tasks: list[Task]) -> np.ndarray:
-        """Earliest starts of several tasks on every node: one (R, |V|) sweep.
+    def eft_row(self, task: Task) -> list[float]:
+        """Earliest finishes of ``task`` on every node, aligned with :attr:`nodes`.
 
-        Row ``i`` equals ``est_all(tasks[i])`` bit-for-bit.  The whole
-        ready set of a list scheduler's round is scored with two
-        vectorized operations (non-insertion policy; the insertion
-        policy's gap scans stay per-task).
+        An infinite start finishes at infinity before the (possibly NaN)
+        execution time is added, as in :meth:`eft`; starts are never NaN.
         """
-        if self.insertion or self.compiled.exec_has_nan:
-            return np.array([self.est_all(task) for task in tasks])
-        task_id = self._task_id
-        stack = np.array([self._drt_row(task_id[task]) for task in tasks])
-        np.maximum(stack, self._avail, out=stack)
-        return stack
-
-    def eft_all_many(self, tasks: list[Task]) -> np.ndarray:
-        """Earliest finishes of several tasks on every node, one sweep."""
-        if self.compiled.exec_has_nan:
-            return np.array([self.eft_all(task) for task in tasks])
-        stack = self.est_all_many(tasks)
-        stack += self.compiled.exec_tbl[[self._task_id[task] for task in tasks]]
-        return stack
+        tid = self._tid(task)
+        return [
+            s + e if s != _INF else _INF
+            for s, e in zip(self._est_row(tid), self._exec_list[tid])
+        ]
 
     def best_node_by_eft(self, task: Task, nodes: Iterable[Node] | None = None) -> Node:
         """Node minimizing EFT for ``task`` (first wins on ties)."""
         if nodes is None:
-            # Batched sweep; argmin keeps the first minimum, matching
-            # the scalar min() over nodes in insertion order.
-            return self._nodes[int(self.eft_all(task).argmin())]
+            row = self.eft_row(task)
+            return self._nodes[min(range(len(row)), key=row.__getitem__)]
         candidates = list(nodes)
         if not candidates:
             raise SchedulingError("no candidate nodes")
-        return min(candidates, key=lambda v: (self.eft(task, v),))
+        return min(candidates, key=lambda v: self.eft(task, v))
 
-    def _earliest_slot(self, node: Node, ready: float, duration: float) -> float:
-        """Earliest feasible start on ``node`` at or after ``ready``."""
+    def _earliest_slot(self, vid: int, ready: float, duration: float) -> float:
+        """Earliest feasible start on node ``vid`` at or after ``ready``."""
         if math.isinf(ready):
             return math.inf
-        entries = self._entries[node]
+        entries = self._slots[vid]
         if not entries:
             return ready
+        # ``b if b > a else a`` is ``max(a, b)``, without the call.
         if not self.insertion:
-            return max(ready, entries[-1].end)
+            end = entries[-1].end
+            return end if end > ready else ready
         # Insertion policy: scan gaps (before first task, between tasks,
         # after last task) for the first one that fits ``duration``.  The
         # comparison is exact: an epsilon here would let tasks overlap by
         # that epsilon, which the validator rightly rejects.
         gap_start = 0.0
         for entry in entries:
-            start = max(gap_start, ready)
+            start = ready if ready > gap_start else gap_start
             if start + duration <= entry.start:
                 return start
-            gap_start = max(gap_start, entry.end)
-        return max(gap_start, ready)
+            if entry.end > gap_start:
+                gap_start = entry.end
+        return ready if ready > gap_start else gap_start
 
     # ------------------------------------------------------------------ #
     # Committing
@@ -518,36 +382,35 @@ class ScheduleBuilder:
         overlapping committed tasks); this path is used by replay / test
         code.
         """
+        tid = self._tid(task)
         if task in self._placed:
             raise SchedulingError(f"task {task!r} is already scheduled")
-        if self._remaining_preds[task] != 0:
+        if self._remaining_preds[tid] != 0:
             raise SchedulingError(
                 f"task {task!r} committed before its predecessors were scheduled"
             )
-        if node not in self._entries:
-            raise SchedulingError(f"unknown node {node!r}")
-        duration = self._exec_time(task, node)
+        vid = self._vid(node)
+        entries = self._slots[vid]
+        duration = self._exec_list[tid][vid]
+        ready = self._drt_row(tid)[vid]
         if start is None:
-            start = self.est(task, node)
+            start = self._earliest_slot(vid, ready, duration)
         else:
-            ready = self.data_ready_time(task, node)
             if start < ready - 1e-9:
                 raise SchedulingError(
                     f"explicit start {start} of {task!r} precedes data-ready time {ready}"
                 )
-            for entry in self._entries[node]:
+            for entry in entries:
                 if start < entry.end - 1e-12 and entry.start < start + duration - 1e-12:
                     raise SchedulingError(
                         f"explicit start {start} of {task!r} overlaps {entry.task!r}"
                     )
         end = start + duration if not math.isinf(start) else math.inf
         entry = ScheduledTask(start=float(start), end=float(end), task=task, node=node)
-        entries = self._entries[node]
         insort(entries, entry)
         self._placed[task] = entry
-        tid = self._task_id[task]
-        vid = self._node_id[node]
         self._placed_vid[tid] = vid
+        self._placed_end[tid] = entry.end
         self._avail[vid] = entries[-1].end
         # Running maximum, seeded (not folded from 0.0) by the first
         # entry so a NaN end poisons it exactly like max() over the ends.
@@ -558,10 +421,8 @@ class ScheduleBuilder:
         del self._ready_ids[bisect_left(self._ready_ids, tid)]
         remaining = self._remaining_preds
         for sid in self.compiled.succ_ids[tid]:
-            succ = self._tasks[sid]
-            left = remaining[succ] - 1
-            remaining[succ] = left
-            if left == 0:
+            remaining[sid] -= 1
+            if remaining[sid] == 0:
                 insort(self._ready_ids, sid)
         return entry
 

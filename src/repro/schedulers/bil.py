@@ -36,11 +36,11 @@ import math
 
 import numpy as np
 
-from repro.core.compiled import argmin_ranked, compile_instance
+from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 
 __all__ = ["BILScheduler"]
 
@@ -62,9 +62,8 @@ class BILScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
         compiled = compile_instance(instance)
-        nodes = list(compiled.nodes)
-        ranks = builder.node_str_order
-        bil = self._static_bil(instance)
+        nodes = compiled.nodes
+        bil = {task: row.tolist() for task, row in self._static_bil(instance).items()}
         m = len(nodes)
         while True:
             ready = builder.ready_tasks()
@@ -72,25 +71,24 @@ class BILScheduler(Scheduler):
                 break
             k = len(ready)
             # BIL*(t, v) = max(data-ready, available) + BIL(t, v): the max
-            # is exactly the non-insertion EST, one batched sweep per task.
-            bil_star = {task: builder.est_all(task) + bil[task] for task in ready}
+            # is exactly the non-insertion EST.
+            bil_star = {
+                task: [start + b for start, b in zip(builder.est_row(task), bil[task])]
+                for task in ready
+            }
             # Priority: the min(k, m)-th smallest BIL* of each task.
             idx = min(k, m) - 1
-            priority = {
-                task: float(np.sort(bil_star[task])[idx]) for task in ready
-            }
+            priority = {task: sorted(bil_star[task])[idx] for task in ready}
             chosen = max(ready, key=lambda t: (priority[t], str(t)))
             # Node choice: minimize BIL** (== BIL* while tasks <= nodes).
-            # The scalar rule short-circuits an infinite BIL* to key inf
-            # before touching the penalty term; mask the same way so an
-            # infinite execution time (inf * penalty=0 is NaN) cannot
-            # leak into the comparison.
+            # An infinite BIL* keys inf before the penalty term is touched,
+            # so an infinite execution time (inf * 0 is NaN) cannot leak in.
             penalty = max(k / m - 1.0, 0.0)
-            star_row = bil_star[chosen]
-            with np.errstate(invalid="ignore"):
-                key_row = star_row + compiled.exec_tbl[compiled.task_id[chosen]] * penalty
-            key_row[np.isinf(star_row)] = np.inf
-            builder.commit(chosen, nodes[argmin_ranked(key_row, ranks)])
+            key_row = [
+                math.inf if math.isinf(star) else star + w * penalty
+                for star, w in zip(bil_star[chosen], compiled.exec_list[compiled.task_id[chosen]])
+            ]
+            builder.commit(chosen, nodes[select_node(key_row, nodes)])
         return builder.schedule()
 
     @staticmethod

@@ -72,7 +72,8 @@ class BruteForceScheduler(Scheduler):
 
         best_schedule: Schedule | None = None
         best_makespan = math.inf
-        for extension in all_linear_extensions(task_digraph(instance)):
+        graph = task_digraph(instance)
+        for extension in all_linear_extensions(graph):
             for assignment in itertools.product(nodes, repeat=len(extension)):
                 builder = ScheduleBuilder(instance, insertion=False)
                 for task, node in zip(extension, assignment):
@@ -85,7 +86,10 @@ class BruteForceScheduler(Scheduler):
                         best_makespan = makespan
                         best_schedule = builder.schedule()
         if best_schedule is None:
-            # Only possible for an empty task graph; return the empty schedule.
+            # No makespan is finite (an empty graph's is 0.0 and is found
+            # above): every schedule is as bad as any, so return the first.
             builder = ScheduleBuilder(instance, insertion=False)
+            for task in next(iter(all_linear_extensions(graph))):
+                builder.commit(task, nodes[0])
             return builder.schedule()
         return best_schedule

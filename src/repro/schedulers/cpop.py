@@ -20,7 +20,7 @@ from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 from repro.schedulers import common
 from repro.schedulers.common import critical_path_tasks, downward_rank, upward_rank
 
@@ -53,14 +53,9 @@ class CPoPScheduler(Scheduler):
         compiled = compile_instance(instance)
         exec_list, task_id = compiled.exec_list, compiled.task_id
         cp_ids = [task_id[t] for t in cp_set]
-        cp_vid = min(
-            range(len(compiled.nodes)),
-            key=lambda vid: (
-                sum(exec_list[tid][vid] for tid in cp_ids),
-                str(compiled.nodes[vid]),
-            ),
-        )
-        cp_node = compiled.nodes[cp_vid]
+        nodes = compiled.nodes
+        totals = [sum(exec_list[tid][vid] for tid in cp_ids) for vid in range(len(nodes))]
+        cp_node = nodes[select_node(totals, nodes)]
 
         # Ready queue ordered by decreasing priority (heapq is a min-heap, so
         # negate); tie-break by insertion order for determinism.

@@ -17,8 +17,6 @@ implementation itself runs on arbitrary related-machines networks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
@@ -50,16 +48,13 @@ class ETFScheduler(Scheduler):
             ready = builder.ready_tasks()
             if not ready:
                 break
-            # One batched EST sweep over the whole ready set; within a
-            # task the key varies only by EST, so the row-wise
-            # first-minimum argmin reproduces the scalar inner loop's
-            # node choice exactly.
-            rows = builder.est_all_many(ready)
-            positions = rows.argmin(axis=1)
-            values = rows[np.arange(len(ready)), positions]
             best: tuple[float, float, str, object, object] | None = None
-            for task, value, vid in zip(ready, values.tolist(), positions.tolist()):
-                key = (value, -levels[task], str(task), task, nodes[vid])
+            for task in ready:
+                # Within a task the key varies only by EST, so the row's
+                # first minimum is the scalar inner loop's node choice.
+                row = builder.est_row(task)
+                vid = min(range(len(row)), key=row.__getitem__)
+                key = (row[vid], -levels[task], str(task), task, nodes[vid])
                 if best is None or key[:3] < best[:3]:
                     best = key
             assert best is not None

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.compiled import argmin_ranked, compile_instance
+from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 from repro.schedulers.common import upward_rank
 
 __all__ = ["FCPScheduler", "candidate_nodes"]
@@ -36,12 +36,10 @@ __all__ = ["FCPScheduler", "candidate_nodes"]
 def candidate_nodes(builder: ScheduleBuilder, task) -> list:
     """FCP/FLB's restricted candidate set: first-idle node + enabling node.
 
-    The first-idle node comes from one vectorized availability sweep; the
-    ranked argmin reproduces the ``(available, str(node))`` tie-break of
-    the scalar ``min()`` this replaced.
+    The first-idle node minimizes ``(available, str(node))``.
     """
     nodes = builder.nodes
-    first_idle = nodes[argmin_ranked(builder.node_available_all(), builder.node_str_order)]
+    first_idle = nodes[select_node([builder.node_available(v) for v in nodes], nodes)]
     candidates = [first_idle]
     enabling = _enabling_node(builder, task)
     if enabling is not None and enabling != first_idle:

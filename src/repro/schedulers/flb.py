@@ -47,9 +47,8 @@ class FLBScheduler(Scheduler):
                 break
             best: tuple[float, str, str, object, object] | None = None
             for task in ready:
-                # candidate_nodes sweeps availability vectorized; the <=2
-                # surviving candidates share the task's memoized
-                # data-ready row, so the scalar eft calls stay cheap.
+                # The <=2 candidates share the task's memoized data-ready
+                # row, so the scalar eft calls stay cheap.
                 for node in candidate_nodes(builder, task):
                     key = (builder.eft(task, node), str(task), str(node), task, node)
                     if best is None or key[:3] < best[:3]:

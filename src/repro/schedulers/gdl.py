@@ -23,11 +23,13 @@ formulation assumes a homogeneous interconnect when computing levels.
 
 from __future__ import annotations
 
-from repro.core.compiled import argmin_ranked, compile_instance
+import math
+
+from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 from repro.schedulers.common import static_level
 
 __all__ = ["GDLScheduler"]
@@ -53,23 +55,25 @@ class GDLScheduler(Scheduler):
         levels = static_level(instance)
         mean_w = {t: compiled.mean_exec(t) for t in compiled.tasks}
         nodes = compiled.nodes
-        ranks = builder.node_str_order
         while True:
             ready = builder.ready_tasks()
             if not ready:
                 break
             best: tuple[float, str, str, object, object] | None = None
             for task in ready:
-                # Non-insertion EST is exactly max(data-ready, available);
-                # one batched sweep replaces the per-node scalar loop.  An
-                # infinite start drives the level to -inf, as before.
-                start_row = builder.est_all(task)
-                delta_row = mean_w[task] - compiled.exec_tbl[compiled.task_id[task]]
-                neg_level = -((levels[task] - start_row) + delta_row)
+                # Non-insertion EST is exactly max(data-ready, available).
+                # An infinite start drives the level to -inf.
+                level, mean = levels[task], mean_w[task]
+                neg_level = [
+                    math.inf if start == math.inf else -((level - start) + (mean - w))
+                    for start, w in zip(
+                        builder.est_row(task), compiled.exec_list[compiled.task_id[task]]
+                    )
+                ]
                 # maximize level; break ties deterministically
-                vid = argmin_ranked(neg_level, ranks)
+                vid = select_node(neg_level, nodes)
                 node = nodes[vid]
-                key = (float(neg_level[vid]), str(task), str(node), task, node)
+                key = (neg_level[vid], str(task), str(node), task, node)
                 if best is None or key[:3] < best[:3]:
                     best = key
             assert best is not None

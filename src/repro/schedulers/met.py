@@ -16,7 +16,7 @@ from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 from repro.schedulers import common
 
 __all__ = ["METScheduler"]
@@ -42,6 +42,5 @@ class METScheduler(Scheduler):
         nodes = compiled.nodes
         for task in common._topological_order(instance):
             row = compiled.exec_list[compiled.task_id[task]]
-            vid = min(range(len(nodes)), key=lambda i: (row[i], str(nodes[i])))
-            builder.commit(task, nodes[vid])
+            builder.commit(task, nodes[select_node(row, nodes)])
         return builder.schedule()

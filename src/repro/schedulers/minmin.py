@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 
 __all__ = ["MinMinScheduler", "minmax_completion_pass"]
 
@@ -32,26 +30,19 @@ def minmax_completion_pass(builder: ScheduleBuilder, take_max: bool) -> None:
     """Shared MinMin/MaxMin loop: repeatedly commit the extreme-MCT ready task.
 
     ``take_max=False`` gives MinMin, ``take_max=True`` gives MaxMin.  Ties
-    are broken deterministically by task name.  The whole ready set is
-    scored in one batched EFT sweep (:meth:`ScheduleBuilder.eft_all_many`);
-    gathering columns in ``node_str_order`` before the row-wise argmin
-    reproduces the ``(eft, str(node))`` tie-break of the scalar ``min()``
-    this replaced.
+    are broken deterministically by task name; each task's best node is
+    its :func:`~repro.core.simulator.select_node` over its EFT row.
     """
     nodes = builder.nodes
-    order = builder.node_str_order
     while True:
         ready = builder.ready_tasks()
         if not ready:
             break
-        rows = builder.eft_all_many(ready)[:, order]
-        positions = rows.argmin(axis=1)
-        vids = order[positions]
-        values = rows[np.arange(len(ready)), positions]
-        best_per_task = {
-            task: (value, nodes[vid])
-            for task, value, vid in zip(ready, values.tolist(), vids.tolist())
-        }
+        best_per_task = {}
+        for task in ready:
+            row = builder.eft_row(task)
+            vid = select_node(row, nodes)
+            best_per_task[task] = (row[vid], nodes[vid])
         sign = -1.0 if take_max else 1.0
 
         def key(task):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 from repro.schedulers import common
 
 __all__ = ["OLBScheduler"]
@@ -39,6 +39,6 @@ class OLBScheduler(Scheduler):
         builder = ScheduleBuilder(instance, insertion=False)
         nodes = builder.nodes
         for task in common._topological_order(instance):
-            node = min(nodes, key=lambda v: (builder.node_available(v), str(v)))
+            node = nodes[select_node([builder.node_available(v) for v in nodes], nodes)]
             builder.commit(task, node)
         return builder.schedule()

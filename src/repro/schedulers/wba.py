@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
-from repro.core.simulator import ScheduleBuilder
+from repro.core.simulator import ScheduleBuilder, select_node
 from repro.utils.rng import as_generator
 
 __all__ = ["WBAScheduler"]
@@ -71,23 +69,21 @@ class WBAScheduler(Scheduler):
             if not ready:
                 break
             current = builder.makespan()
-            # One batched EFT sweep over the whole ready set; gathering
-            # columns in str order makes the row-wise argmin reproduce
-            # the (eft, str(node)) tie-break of the scalar min().
-            order = builder.node_str_order
-            rows = builder.eft_all_many(ready)[:, order]
-            positions = rows.argmin(axis=1)
-            vids = order[positions]
-            values = rows[np.arange(len(ready)), positions]
             options: list[tuple[float, object, object]] = []
-            for task, value, vid in zip(ready, values.tolist(), vids.tolist()):
-                increase = max(value - current, 0.0)
+            for task in ready:
+                row = builder.eft_row(task)
+                vid = select_node(row, nodes)
+                # A finish at or before the current makespan (an infinite
+                # one included, once the makespan is infinite) adds nothing.
+                value = row[vid]
+                increase = value - current if value > current else 0.0
                 options.append((increase, task, nodes[vid]))
             finite = [o for o in options if not math.isinf(o[0])]
             pool = finite if finite else options
             lo = min(o[0] for o in pool)
             hi = max(o[0] for o in pool)
-            threshold = lo + self.alpha * (hi - lo)
+            # All-infinite pools (hi == lo == inf) keep every option.
+            threshold = lo + self.alpha * (hi - lo) if hi > lo else lo
             # Scale-relative tolerance: membership in the candidate list
             # must be invariant under rescaling the instance's weights.
             tol = 1e-12 * hi if math.isfinite(hi) else 0.0

@@ -17,9 +17,12 @@ which case the change must be called out in the PR):
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.core.instance import ProblemInstance
+from repro.core.network import Network
+from repro.core.task_graph import TaskGraph
 from repro.core.scheduler import get_scheduler, list_schedulers
 from repro.datasets.random_graphs import (
     out_tree_task_graph,
@@ -78,6 +81,56 @@ def standard_cases() -> list[ProblemInstance]:
             )
         )
     return out
+
+
+def degenerate_cases() -> list[ProblemInstance]:
+    """validate()-legal instances whose times are NaN or infinite.
+
+    Small enough for the exponential oracles.  Not part of the golden
+    (it predates them); the equivalence suite runs them against the
+    frozen builder.  Node order disagrees with ``str`` order where ties
+    are possible, so both tie-break rules are exercised.
+    """
+    inf = math.inf
+    return [
+        # inf cost on an inf-speed node: exec time inf/inf is NaN.
+        ProblemInstance(
+            Network.from_speeds({"v0": 1.0, "v1": inf, "v2": 2.0}, default_strength=1.0),
+            TaskGraph.from_dicts({"a": inf, "b": 1.0}, {("a", "b"): 1.0}),
+            name="nan_exec",
+        ),
+        # inf cost on finite-speed nodes: every makespan is infinite.
+        ProblemInstance(
+            Network.from_speeds({"v1": 1.0, "v0": 2.0}, default_strength=1.0),
+            TaskGraph.from_dicts(
+                {"a": 1.0, "b": inf, "c": 2.0}, {("a", "b"): 1.0, ("a", "c"): 0.5}
+            ),
+            name="all_infinite",
+        ),
+        # Positive data over zero-strength links.
+        ProblemInstance(
+            Network.from_speeds(
+                {"v2": 1.0, "v0": 2.0, "v1": 1.0},
+                strengths={("v2", "v0"): 0.0, ("v0", "v1"): 0.0, ("v2", "v1"): 1.0},
+            ),
+            TaskGraph.from_dicts(
+                {"a": 1.0, "b": 2.0, "c": 1.0}, {("a", "b"): 1.0, ("b", "c"): 0.0}
+            ),
+            name="dead_links",
+        ),
+        # Infinite data: free only on one node and over the infinite link.
+        ProblemInstance(
+            Network.from_speeds(
+                {"v1": 1.0, "v0": 2.0, "v2": 1.0},
+                default_strength=1.0,
+                strengths={("v1", "v0"): inf},
+            ),
+            TaskGraph.from_dicts(
+                {"a": 1.0, "b": 2.0, "c": 1.0}, {("a", "b"): inf, ("a", "c"): 1.0}
+            ),
+            name="infinite_data",
+        ),
+    ]
 
 
 def cases_for(scheduler_name: str) -> list[ProblemInstance]:

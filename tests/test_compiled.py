@@ -7,14 +7,15 @@ Three layers of evidence, strongest last:
    functions exactly — including the edge cases the conventions exist
    for (zero data, zero-strength links, infinite-strength links, a task
    talking to itself on one node).
-2. **Query equivalence**: the batched ``est_all``/``eft_all`` sweeps
-   agree element-for-element with the scalar queries, on both builder
+2. **Query equivalence**: the row queries ``est_row``/``eft_row`` agree
+   element-for-element with the scalar queries, on both builder
    policies, mid-build.
 3. **Schedule equivalence**: every registered scheduler produces the
    *identical* schedule on the compiled builder and on the frozen
-   pre-compilation :class:`ReferenceScheduleBuilder`; a fixed-seed
-   fig4-style sweep produces the identical ratio matrix; and everything
-   matches the committed golden file generated by the pre-refactor code.
+   pre-compilation :class:`ReferenceScheduleBuilder`, on the standard
+   cases and on NaN/infinite degenerate ones; a fixed-seed fig4-style
+   sweep produces the identical ratio matrix; and everything matches the
+   committed golden file generated by the pre-refactor code.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,15 +32,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Network, ProblemInstance, TaskGraph
-from repro.core.compiled import argmin_ranked, compile_instance
+from repro.core.compiled import compile_instance
 from repro.core.reference import ReferenceScheduleBuilder, use_reference_builder
-from repro.core.scheduler import list_schedulers
+from repro.core.scheduler import get_scheduler, list_schedulers
 from repro.core.simulator import (
     ScheduleBuilder,
     comm_time,
     exec_time,
     mean_comm_time,
     mean_exec_time,
+    select_node,
 )
 from repro.pisa import PISA, batch_energy, pairwise_comparison
 from repro.pisa.perturbations import Delta
@@ -49,6 +52,7 @@ from tests.equivalence import (
     GOLDEN_PATH,
     cases_for,
     compute_fig4_matrix,
+    degenerate_cases,
     schedule_entries,
     standard_cases,
 )
@@ -97,20 +101,17 @@ def _assert_tables_match(inst: ProblemInstance) -> None:
             vid = compiled.node_id[v]
             assert compiled.exec_tbl[tid, vid] == exec_time(inst, t, v)
             assert compiled.exec_list[tid][vid] == exec_time(inst, t, v)
+    assert compiled.strength_list == compiled.strength.tolist()
     for u, v in inst.task_graph.dependencies:
         uid, vid = compiled.task_id[u], compiled.task_id[v]
         assert _same_float(compiled.mean_comm(u, v), mean_comm_time(inst, u, v))
         for nu in nodes:
-            row = compiled.comm_row(compiled.data[(uid, vid)], compiled.node_id[nu])
             for nv in nodes:
                 expected = comm_time(inst, u, v, nu, nv)
                 assert _same_float(
                     compiled.comm(uid, vid, compiled.node_id[nu], compiled.node_id[nv]),
                     expected,
                 )
-                # comm_row's only divergence is the diagonal, where the
-                # infinite self-strength also divides to the exact 0.0.
-                assert _same_float(float(row[compiled.node_id[nv]]), expected)
 
 
 class TestCompiledTables:
@@ -157,9 +158,9 @@ class TestCompiledTables:
         ref = ReferenceScheduleBuilder(inst, insertion=False)
         new.commit("a", "v1")
         ref.commit("a", "v1")
-        drt_row = new.est_all("b")
+        est_row = new.est_row("b")
         for vid, node in enumerate(inst.network.nodes):
-            assert drt_row[vid] == ref.est("b", node)
+            assert est_row[vid] == ref.est("b", node)
         # Same node and the infinite v1-v2 link transfer for free; the
         # ordinary v1-v3 link never delivers infinite data.
         assert new.data_ready_time("b", "v1") == 1.0
@@ -167,11 +168,10 @@ class TestCompiledTables:
         assert math.isinf(new.data_ready_time("b", "v3"))
 
     def test_infinite_cost_on_infinite_speed_node(self):
-        """inf cost / inf speed = NaN exec: batch queries must still match.
+        """inf cost / inf speed = NaN exec: row queries must still match.
 
-        validate() accepts both weights; the scalar eft() short-circuits
-        an infinite start before adding the NaN duration, and the batch
-        queries fall back to the scalar forms on such instances.
+        validate() accepts both weights; eft() short-circuits an infinite
+        start before adding the NaN duration, and so does eft_row().
         """
         tg = TaskGraph.from_dicts({"a": 1.0, "b": math.inf}, {("a", "b"): 1.0})
         net = Network.from_speeds(
@@ -179,16 +179,15 @@ class TestCompiledTables:
             strengths={("v0", "v1"): 0.0},  # dead link: est('b','v1') = inf
         )
         inst = ProblemInstance(net, tg, name="nan_exec")
-        assert compile_instance(inst).exec_has_nan
         new = ScheduleBuilder(inst, insertion=False)
         ref = ReferenceScheduleBuilder(inst, insertion=False)
         new.commit("a", "v0")
         ref.commit("a", "v0")
-        eft_row = new.eft_all("b")
-        est_row = new.est_all("b")
+        eft_row = new.eft_row("b")
+        est_row = new.est_row("b")
         for vid, node in enumerate(inst.network.nodes):
-            assert _same_float(float(est_row[vid]), ref.est("b", node))
-            assert _same_float(float(eft_row[vid]), ref.eft("b", node))
+            assert _same_float(est_row[vid], ref.est("b", node))
+            assert _same_float(eft_row[vid], ref.eft("b", node))
         assert new.best_node_by_eft("b") == ref.best_node_by_eft("b")
 
         # A finite start with a NaN duration gives a NaN end; the running
@@ -314,17 +313,21 @@ class TestBatchQueries:
         st.booleans(),
     )
     def test_est_eft_all_match_scalar(self, inst, insertion):
+        """The row queries equal the scalar ones, and the reference's."""
         builder = ScheduleBuilder(inst, insertion=insertion)
+        ref = ReferenceScheduleBuilder(inst, insertion=insertion)
         nodes = inst.network.nodes
         for i, task in enumerate(inst.task_graph.topological_order()):
-            est_row = builder.est_all(task)
-            eft_row = builder.eft_all(task)
-            avail_row = builder.node_available_all()
+            est_row = builder.est_row(task)
+            eft_row = builder.eft_row(task)
+            assert est_row == ref.est_row(task)
+            assert eft_row == ref.eft_row(task)
             for vid, node in enumerate(nodes):
                 assert est_row[vid] == builder.est(task, node)
                 assert eft_row[vid] == builder.eft(task, node)
-                assert avail_row[vid] == builder.node_available(node)
+                assert builder.node_available(node) == ref.node_available(node)
             builder.commit(task, nodes[i % len(nodes)])
+            ref.commit(task, nodes[i % len(nodes)])
 
     def test_ready_tasks_and_makespan_incremental(self):
         inst = standard_cases()[2]
@@ -339,24 +342,56 @@ class TestBatchQueries:
         assert new.makespan() == ref.makespan()
         assert new.ready_tasks() == [] and ref.ready_tasks() == []
 
-    def test_argmin_helpers(self):
-        values = np.array([2.0, 1.0, 1.0, 3.0])
-        # Tie-break order: index 2 sorts before index 1.
-        order = np.array([0, 2, 3, 1])
-        assert argmin_ranked(values, order) == 2  # tie broken by order
-        assert argmin_ranked(np.array([math.inf, math.inf]), np.array([1, 0])) == 1
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # math.nan is one shared object; "fresh_nan" a new one.
+                st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan, "fresh_nan"]),
+                st.sampled_from(["v0", "v1", "v10", "v2", 1, "1"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_select_node_is_min_by_value_then_name(self, pairs):
+        """select_node is min() keyed on (value, str(node)), NaN included."""
+        values = [float("nan") if v == "fresh_nan" else v for v, _ in pairs]
+        nodes = [node for _, node in pairs]
+        want = min(range(len(nodes)), key=lambda i: (values[i], str(nodes[i])))
+        assert select_node(values, nodes) == want
+
+    def test_select_node_ties_inf_and_nan(self):
+        nodes = ["v2", "v10", "v1"]
+        assert select_node([1.0, 1.0, 2.0], nodes) == 1  # "v10" < "v2"
+        assert select_node([math.inf, math.inf, math.inf], nodes) == 2
+        assert select_node([math.inf, 5.0, 5.0], nodes) == 2  # "v1" < "v10"
+        # A NaN never displaces a value; a leading NaN is never displaced.
+        assert select_node([3.0, float("nan"), 1.0], nodes) == 2
+        assert select_node([float("nan"), 0.0, 1.0], nodes) == 0
 
 
 class TestScheduleEquivalence:
     @pytest.mark.parametrize("name", list_schedulers())
     def test_scheduler_bit_identical_to_reference(self, name):
-        for inst in cases_for(name):
+        for inst in cases_for(name) + degenerate_cases():
             compiled_entries = schedule_entries(name, inst)
             with use_reference_builder():
                 reference_entries = schedule_entries(name, inst)
             assert compiled_entries == reference_entries, (
                 f"{name} diverged from the pre-compilation builder on {inst.name}"
             )
+
+    @pytest.mark.parametrize("name", list_schedulers())
+    def test_scheduler_completes_when_every_makespan_is_infinite(self, name):
+        """One task of infinite cost on finite-speed nodes: no crash, no
+        numpy warning, every task placed."""
+        inst = next(i for i in degenerate_cases() if i.name == "all_infinite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            schedule = get_scheduler(name).schedule(inst)
+        assert sorted(e.task for e in schedule) == sorted(inst.task_graph.tasks)
+        assert math.isinf(schedule.makespan)
 
     def test_matches_pre_refactor_golden(self):
         golden = json.loads(GOLDEN_PATH.read_text())

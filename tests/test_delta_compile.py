@@ -39,9 +39,8 @@ _COMPARED = (
     "speed",
     "exec_tbl",
     "exec_list",
-    "exec_has_nan",
     "strength",
-    "strength_row_has_zero",
+    "strength_list",
     "data",
     "pred_edges",
     "_mean_inv_speed",
@@ -341,7 +340,7 @@ def test_structural_delta_rejections():
 
 
 # --------------------------------------------------------------------- #
-# Unbound clones: unknown keys raise SchedulingError, not AttributeError
+# Unknown keys raise SchedulingError, on bound and unbound builders alike
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def unbound():
@@ -368,23 +367,11 @@ def test_unbound_builder_exec_time(unbound):
 
     builder = ScheduleBuilder(unbound)
     with pytest.raises(SchedulingError, match="unknown task 'zz'"):
-        builder._exec_time("zz", "x")
+        builder.eft("zz", "x")
     with pytest.raises(SchedulingError, match="unknown node 'w'"):
-        builder._exec_time("a", "w")
+        builder.eft("a", "w")
     with pytest.raises(SchedulingError, match="unknown task 'zz'"):
         builder.est("zz", "x")
-
-
-def test_unbound_builder_comm_time(unbound):
-    from repro.core.simulator import ScheduleBuilder
-
-    builder = ScheduleBuilder(unbound)
-    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
-        builder._comm_time("a", "zz", "x", "y")
-    with pytest.raises(SchedulingError, match="unknown node 'w'"):
-        builder._comm_time("a", "b", "x", "w")
-    with pytest.raises(SchedulingError, match="unknown dependency 'b'->'a'"):
-        builder._comm_time("b", "a", "x", "y")
 
 
 def test_unbound_builder_data_ready_time(unbound):
@@ -397,11 +384,36 @@ def test_unbound_builder_data_ready_time(unbound):
         builder.data_ready_time("a", "w")
 
 
-def test_unbound_builder_enabling_parent(unbound):
+@pytest.mark.parametrize("kind", ["bound", "unbound"])
+def test_builder_unknown_keys_raise_scheduling_error(kind, unbound):
+    """Every query names the unknown task or node, whichever kind of
+    compilation the builder runs on."""
     from repro.core.simulator import ScheduleBuilder
 
-    builder = ScheduleBuilder(unbound)
-    with pytest.raises(SchedulingError, match="unknown task 'zz'"):
-        builder.enabling_parent("zz", "x")
-    builder.commit("a", "x")
-    assert builder.enabling_parent("b", "y") == "a"
+    builder = ScheduleBuilder(_tiny_instance() if kind == "bound" else unbound)
+    unknown_task = [
+        lambda: builder.est("zz", "x"),
+        lambda: builder.eft("zz", "x"),
+        lambda: builder.data_ready_time("zz", "x"),
+        lambda: builder.est_row("zz"),
+        lambda: builder.eft_row("zz"),
+        lambda: builder.best_node_by_eft("zz"),
+        lambda: builder.best_node_by_eft("zz", ["x"]),
+        lambda: builder.commit("zz", "x"),
+    ]
+    for query in unknown_task:
+        with pytest.raises(SchedulingError, match="unknown task 'zz'"):
+            query()
+    unknown_node = [
+        lambda: builder.est("a", "w"),
+        lambda: builder.eft("a", "w"),
+        lambda: builder.data_ready_time("a", "w"),
+        lambda: builder.best_node_by_eft("a", ["w"]),
+        lambda: builder.node_available("w"),
+        lambda: builder.commit("a", "w"),
+    ]
+    for query in unknown_node:
+        with pytest.raises(SchedulingError, match="unknown node 'w'"):
+            query()
+    builder.commit("a", "x")  # the failed queries left no trace
+    assert builder.ready_tasks() == ["b"]

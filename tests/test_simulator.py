@@ -167,12 +167,6 @@ class TestScheduleBuilder:
         with pytest.raises(SchedulingError):
             builder.schedule()
 
-    def test_enabling_parent(self, instance):
-        builder = ScheduleBuilder(instance)
-        builder.commit("a", "u")
-        assert builder.enabling_parent("b", "v") == "a"
-        assert builder.enabling_parent("a", "v") is None
-
     def test_dead_link_propagates_infinity(self):
         tg = TaskGraph.from_dicts({"a": 1.0, "b": 1.0}, {("a", "b"): 1.0})
         net = Network.from_speeds({"u": 1.0, "v": 1.0}, default_strength=0.0)
